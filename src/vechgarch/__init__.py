@@ -48,7 +48,6 @@ from .model import (
     GarchSpec,
     MomentSet,
     diagnostics,
-    phi,
     population_moments,
     random_sigma,
     random_spec,

@@ -22,8 +22,8 @@ import numpy as np
 from . import linalg
 from .exceptions import InvalidInput, MissingSigmaW
 from .linalg import DEFAULT_TOL
-from .model import GarchSpec, diagnostics
-from .solver import EstimateReport, GammaState, recover_sigma, solve_b
+from .model import GarchSpec, uncond_h
+from .solver import EstimateReport, GammaState, _solve
 
 __all__ = [
     "AggregationInput",
@@ -63,18 +63,7 @@ class AggregationInput:
             raise InvalidInput(f"sigma must be a finite {k} x {k} matrix")
         object.__setattr__(self, "sigma", sigma)
         if self.kind == "flow":
-            if self.sigma_w is None:
-                if self.m > 1:
-                    raise MissingSigmaW(
-                        "flow aggregation with m > 1 requires sigma_w (use a "
-                        "zero matrix for noiseless aggregation)"
-                    )
-                object.__setattr__(self, "sigma_w", np.zeros((k, k)))
-            else:
-                sw = np.asarray(self.sigma_w, dtype=float)
-                if sw.shape != (k, k) or not np.isfinite(sw).all():
-                    raise InvalidInput(f"sigma_w must be a finite {k} x {k} matrix")
-                object.__setattr__(self, "sigma_w", sw)
+            object.__setattr__(self, "sigma_w", _flow_noise(self.sigma_w, k, self.m))
         elif self.sigma_w is not None:
             raise InvalidInput("sigma_w only applies to flow aggregation")
 
@@ -140,7 +129,7 @@ def _flow_ladder(spec, m):
     return ladder
 
 
-def stock_gammas(spec, sigma, m, tol=DEFAULT_TOL):
+def stock_gammas(spec, sigma, m):
     """Innovation autocovariances of the every-m-th-period process.
 
     Returns ``(gamma0_m, gamma1_m)`` with ``gamma0_m = sum_i J_i Sigma
@@ -155,7 +144,7 @@ def stock_gammas(spec, sigma, m, tol=DEFAULT_TOL):
     return linalg.sym(gamma0), gamma1
 
 
-def flow_gammas(spec, sigma, m, sigma_w=None, tol=DEFAULT_TOL):
+def flow_gammas(spec, sigma, m, sigma_w=None):
     """Innovation autocovariances of the block-summed process.
 
     ``sigma_w`` adds ``sigma_w + Phi^m sigma_w (Phi^m)'`` to the lag-0
@@ -166,17 +155,7 @@ def flow_gammas(spec, sigma, m, sigma_w=None, tol=DEFAULT_TOL):
     _check_sigma(spec, sigma)
     if m < 1:
         raise InvalidInput(f"m must be >= 1, got {m}")
-    k = spec.dbar
-    if sigma_w is None:
-        if m > 1:
-            raise MissingSigmaW(
-                "flow aggregation with m > 1 requires sigma_w (use a zero "
-                "matrix for noiseless aggregation)"
-            )
-        sigma_w = np.zeros((k, k))
-    sw = np.asarray(sigma_w, dtype=float)
-    if sw.shape != (k, k) or not np.isfinite(sw).all():
-        raise InvalidInput(f"sigma_w must be a finite {k} x {k} matrix")
+    sw = _flow_noise(sigma_w, spec.dbar, m)
     ladder = _flow_ladder(spec, m)
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gamma0 = sum(j @ sigma @ j.T for j in ladder)
@@ -184,6 +163,21 @@ def flow_gammas(spec, sigma, m, sigma_w=None, tol=DEFAULT_TOL):
     gamma1 = sum(ladder[i + m] @ sigma @ ladder[i].T for i in range(m))
     gamma1 = gamma1 - phi_m @ sw
     return linalg.sym(gamma0), gamma1
+
+
+def _flow_noise(sigma_w, k, m):
+    """Validated flow-noise covariance; a zero matrix if omitted at m = 1."""
+    if sigma_w is None:
+        if m > 1:
+            raise MissingSigmaW(
+                "flow aggregation with m > 1 requires sigma_w (use a zero "
+                "matrix for noiseless aggregation)"
+            )
+        return np.zeros((k, k))
+    sw = np.asarray(sigma_w, dtype=float)
+    if sw.shape != (k, k) or not np.isfinite(sw).all():
+        raise InvalidInput(f"sigma_w must be a finite {k} x {k} matrix")
+    return sw
 
 
 def _check_sigma(spec, sigma):
@@ -205,7 +199,8 @@ def aggregate_params(inp, tol=DEFAULT_TOL):
     -------
     AggregatedSpec
         With an :class:`~vechgarch.solver.EstimateReport` documenting the
-        solve (eigenvalues, residuals, diagnostics).
+        solve (eigenvalues, residuals, diagnostics).  That report has no
+        moments, so it has no standard errors.
     """
     if not isinstance(inp, AggregationInput):
         raise InvalidInput("inp must be an AggregationInput")
@@ -213,35 +208,17 @@ def aggregate_params(inp, tol=DEFAULT_TOL):
     if linalg.asymmetry(inp.sigma) > 1e-8:
         raise InvalidInput("sigma must be symmetric")
     linalg.cholesky(linalg.sym(inp.sigma), tol=tol)
-    from .model import uncond_h  # deferred: avoids import-order knots
-
     h = uncond_h(spec, tol=tol)
     if inp.kind == "stock":
-        gamma0_m, gamma1_m = stock_gammas(spec, inp.sigma, m, tol=tol)
+        gamma0_m, gamma1_m = stock_gammas(spec, inp.sigma, m)
         h_m = h
     else:
-        gamma0_m, gamma1_m = flow_gammas(spec, inp.sigma, m, sigma_w=inp.sigma_w, tol=tol)
+        gamma0_m, gamma1_m = flow_gammas(spec, inp.sigma, m, sigma_w=inp.sigma_w)
         h_m = m * h
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gs = GammaState(phi=phi_m, gamma0=gamma0_m, gamma1=gamma1_m)
-    sol = solve_b(gs, tol=tol)
-    rec = recover_sigma(sol.b, gs, tol=tol)
-    a_m = phi_m - sol.b
-    c_m = (np.eye(spec.dbar) - phi_m) @ h_m
-    spec_m = GarchSpec(d=spec.d, c=c_m, A=a_m, B=sol.b)
-    diag = diagnostics(spec_m, tol=tol)
-    diag.warnings = list(rec.warnings) + diag.warnings
-    report = EstimateReport(
-        spec=spec_m,
-        sigma=rec.sigma,
-        p_eigenvalues=sol.p_eigenvalues,
-        b_eigenvalues=sol.b_eigenvalues,
-        residual_pme=sol.residual_pme,
-        residual_nme=rec.nme_residual,
-        sigma_symmetry_gap=rec.symmetry_gap,
-        diagnostics=diag,
-    )
-    return AggregatedSpec(spec_m=spec_m, gamma0_m=gamma0_m, gamma1_m=gamma1_m,
+    report = _solve(gs, h_m, [], None, tol)
+    return AggregatedSpec(spec_m=report.spec, gamma0_m=gamma0_m, gamma1_m=gamma1_m,
                           m=m, kind=inp.kind, report=report)
 
 

@@ -19,8 +19,8 @@ from . import linalg
 from .exceptions import InvalidInput
 from .linalg import DEFAULT_TOL
 from .model import MomentSet
-from .moments import PsiEstimate, hac_psi, sample_moments, spherical_psi
-from .solver import gammas, recover_sigma, solve_b
+from .moments import PsiEstimate, hac_psi, spherical_psi
+from .solver import estimate
 
 __all__ = [
     "JacobianState",
@@ -53,14 +53,26 @@ class JacobianState:
 
     @classmethod
     def from_moments(cls, ms, tol=DEFAULT_TOL):
-        """Run the estimation pipeline once and capture its state."""
+        """Run the lag-1 estimator once and capture its state."""
         if not isinstance(ms, MomentSet):
             raise InvalidInput("ms must be a MomentSet")
-        gs = gammas(ms, tol=tol)
-        sol = solve_b(gs, tol=tol)
-        rec = recover_sigma(sol.b, gs, tol=tol)
-        return cls(mean=ms.mean, m0=ms.m0, m1=ms.m1, phi=gs.phi,
-                   gamma0=gs.gamma0, gamma1=gs.gamma1, b=sol.b, sigma=rec.sigma)
+        return cls._from_report(estimate(ms, tol=tol))
+
+    @classmethod
+    def _from_report(cls, report):
+        """The state a report was solved at, if its ``Phi`` is the lag-1 map
+        ``m2 m1^{-1}`` that :func:`jacobian_action` differentiates."""
+        ms, gs = report.moments, report.gamma_state
+        if ms is None:
+            raise InvalidInput("no standard errors for a report without moments "
+                               "(an aggregation report)")
+        if report.phi_departure is not None:
+            raise InvalidInput(
+                "no standard errors: the delta method differentiates the lag-1 "
+                f"Phi = m2 m1^-1, but this fit's Phi {report.phi_departure}"
+            )
+        return cls(mean=ms.mean, m0=ms.m0, m1=ms.m1, phi=gs.phi, gamma0=gs.gamma0,
+                   gamma1=gs.gamma1, b=report.spec.B, sigma=report.sigma)
 
 
 @dataclass(frozen=True)
@@ -219,18 +231,17 @@ def _names_from_rows(n_rows):
     return param_names(d)
 
 
-def standard_errors(x, bandwidth=None, method="hac-bartlett", tol=DEFAULT_TOL):
-    """One-call delta method on a raw ``x_t`` sample.
+def standard_errors(report, x, bandwidth=None, method="hac-bartlett", tol=DEFAULT_TOL):
+    """Delta method for ``report = estimate(x)``, on a raw ``x_t`` sample.
 
-    Computes the sample moments, the long-run covariance by the requested
-    method, the analytic Jacobian at the estimated state, and the final
-    :class:`AsymptoticReport`.
+    The Jacobian is taken at the report's stored state (no refit); ``x``
+    gives the long-run covariance.  Raises ``InvalidInput`` for a report
+    without moments, or whose ``Phi`` pools lags or was projected.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise InvalidInput(f"x must be an n x dbar matrix, got shape {a.shape}")
-    ms = sample_moments(a)
-    js = JacobianState.from_moments(ms, tol=tol)
+    js = JacobianState._from_report(report)
     if method == "hac-bartlett":
         psi = hac_psi(a, bandwidth=bandwidth)
     elif method == "spherical-block":

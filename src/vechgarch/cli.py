@@ -84,7 +84,7 @@ def cmd_estimate(args):
                       project=args.project_stationary)
     payload = report.to_json()
     if args.with_se:
-        se_report = asymptotics.standard_errors(x, bandwidth=args.bandwidth)
+        se_report = asymptotics.standard_errors(report, x, bandwidth=args.bandwidth)
         payload["asymptotics"] = se_report.to_json()
     _print_warnings(report.diagnostics)
     _dump_json(payload, args.out)
@@ -114,11 +114,10 @@ def _true_lambda(spec):
 
 
 def _block_errors(est_spec, true_spec):
-    k = true_spec.dbar
     err_c = float(np.abs(est_spec.c - true_spec.c).max())
     err_a = float(np.abs(est_spec.A - true_spec.A).max())
     err_b = float(np.abs(est_spec.B - true_spec.B).max())
-    return err_c, err_a, err_b, max(err_c, err_a, err_b), k
+    return err_c, err_a, err_b, max(err_c, err_a, err_b)
 
 
 def _block_coverage(est_spec, true_spec, se):
@@ -149,11 +148,12 @@ def cmd_montecarlo(args):
                 x = to_x(sim.y)
                 report = estimate(x, phi_method=args.phi_method, lags=args.lags,
                                   project=args.project_stationary)
-                err_c, err_a, err_b, err_max, _ = _block_errors(report.spec, spec)
+                err_c, err_a, err_b, err_max = _block_errors(report.spec, spec)
                 row.update(err_max=f"{err_max:.10g}", err_c=f"{err_c:.10g}",
                            err_a=f"{err_a:.10g}", err_b=f"{err_b:.10g}")
                 if args.with_se:
-                    se_rep = asymptotics.standard_errors(x, bandwidth=args.bandwidth)
+                    se_rep = asymptotics.standard_errors(report, x,
+                                                         bandwidth=args.bandwidth)
                     cc, ca, cb = _block_coverage(report.spec, spec,
                                                  se_rep.std_errors)
                     row.update(cover_c=f"{cc:.6g}", cover_a=f"{ca:.6g}",

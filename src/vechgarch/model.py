@@ -26,7 +26,6 @@ __all__ = [
     "GarchSpec",
     "MomentSet",
     "Diagnostics",
-    "phi",
     "uncond_h",
     "population_moments",
     "diagnostics",
@@ -144,11 +143,6 @@ class Diagnostics:
             "h_positive": self.h_positive,
             "warnings": list(self.warnings),
         }
-
-
-def phi(spec):
-    """Autoregressive matrix ``A + B`` of the implied VARMA(1,1)."""
-    return spec.A + spec.B
 
 
 def uncond_h(spec, tol=DEFAULT_TOL):

@@ -20,7 +20,7 @@ involved anywhere.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,7 +119,12 @@ class SigmaRecovery:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Full output of the closed-form estimator."""
+    """Full output of the closed-form estimator.
+
+    Keeps the ``gamma_state`` and ``moments`` (``None`` after aggregation)
+    it was solved from, and ``phi_departure``: how its ``Phi`` differs from
+    the lag-1 map ``m2 m1^{-1}``, or ``None``.  None of these are in JSON.
+    """
 
     spec: GarchSpec
     sigma: np.ndarray
@@ -129,6 +134,9 @@ class EstimateReport:
     residual_nme: float
     sigma_symmetry_gap: float
     diagnostics: object
+    gamma_state: GammaState = field(repr=False)
+    moments: MomentSet = field(default=None, repr=False)
+    phi_departure: str = None
 
     def to_json(self):
         return {
@@ -448,13 +456,10 @@ def project_stationary(phi, delta=1e-3, tol=DEFAULT_TOL):
     return out
 
 
-_WRAPPABLE = (VechGarchError,)
-
-
 def _run_stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except _WRAPPABLE as exc:
+    except VechGarchError as exc:
         if exc.stage is None and type(exc).__init__ is VechGarchError.__init__:
             raise type(exc)(str(exc), stage=name) from exc
         raise
@@ -491,10 +496,11 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
     """
     if lags < 1:
         raise InvalidInput(f"lags must be >= 1, got {lags}")
+    pooled = phi_method != "lag1" and lags > 1
+    extra = None
     if isinstance(data, MomentSet):
         ms = data
-        extra = None
-        if phi_method != "lag1" and lags > 1:
+        if pooled:
             raise InvalidInput(
                 "lag identities beyond m2 = Phi m1 require the raw sample, "
                 "not a precomputed MomentSet"
@@ -505,31 +511,36 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
             raise InvalidInput(f"data must be an n x dbar matrix, got shape {x.shape}")
         linalg.mat_dim(x.shape[1])  # validates the vech width
         ms = _run_stage("moments", sample_moments, x)
-        extra = None
-        if phi_method != "lag1" and lags > 1:
+        if pooled:
             covs = _run_stage("moments", sample_autocovariances, x, lags + 1)
             extra = covs[3:]
-    d = linalg.mat_dim(ms.dbar)
+    linalg.mat_dim(ms.dbar)  # validates the vech width
     notes = []
+    departure = f"pools {lags} lag identities ({phi_method})" if pooled else None
     phi_hat = _run_stage("gammas", _estimate_phi, ms, phi_method, extra, weights, tol)
     if project and linalg.spectral_radius(phi_hat) >= 1.0:
-        phi_hat, proj_notes = _project_impl(phi_hat, 1e-3, tol)
-        notes.extend(proj_notes)
-    gs = _gamma_state(ms, phi_hat)
+        phi_hat, notes = _project_impl(phi_hat, 1e-3, tol)
+        departure = "was projected inside the unit circle (phi_projected)"
+    report = _solve(_gamma_state(ms, phi_hat), ms.mean, notes, tol_unimodular, tol)
+    return replace(report, moments=ms, phi_departure=departure)
+
+
+def _solve(gs, mean, notes, tol_unimodular, tol):
+    """(GammaState, mean) -> EstimateReport, for estimation and aggregation;
+    ``notes`` lead the warnings."""
     if gs.gamma0_asymmetry > tol.gamma_symmetry:
-        notes.append({
+        notes = notes + [{
             "code": "gamma0_symmetrized",
             "message": f"gamma0 symmetrised (relative asymmetry "
                        f"{gs.gamma0_asymmetry:.3e})",
-        })
+        }]
     sol = _run_stage("solve_b", solve_b, gs, tol_unimodular=tol_unimodular, tol=tol)
     rec = _run_stage("sigma", recover_sigma, sol.b, gs, tol=tol)
-    notes.extend(rec.warnings)
-    a_hat = gs.phi - sol.b
-    c_hat = (np.eye(ms.dbar) - gs.phi) @ ms.mean
-    spec = GarchSpec(d=d, c=c_hat, A=a_hat, B=sol.b)
+    k = gs.dbar
+    spec = GarchSpec(d=linalg.mat_dim(k), c=(np.eye(k) - gs.phi) @ mean,
+                     A=gs.phi - sol.b, B=sol.b)
     diag = diagnostics(spec, tol=tol)
-    diag.warnings = notes + diag.warnings
+    diag.warnings = notes + rec.warnings + diag.warnings
     return EstimateReport(
         spec=spec,
         sigma=rec.sigma,
@@ -539,4 +550,5 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
         residual_nme=rec.nme_residual,
         sigma_symmetry_gap=rec.symmetry_gap,
         diagnostics=diag,
+        gamma_state=gs,
     )

@@ -195,7 +195,7 @@ def test_confidence_interval_coverage(capsys):
         try:
             x = to_x(simulate(spec, 100_000, seed=42 + rep).y)
             est = estimate(x)
-            se = standard_errors(x).std_errors
+            se = standard_errors(est, x).std_errors
             point = np.array([est.spec.c[0], est.spec.A[0, 0], est.spec.B[0, 0]])
             hits += (np.abs(point - truth) <= 1.96 * se).astype(float)
         except VechGarchError:

@@ -13,9 +13,9 @@ from vechgarch.asymptotics import (
     xi,
 )
 from vechgarch.exceptions import InvalidInput
-from vechgarch.moments import PsiEstimate, sample_moments
+from vechgarch.moments import PsiEstimate, hac_psi, sample_moments
 from vechgarch.simulate import simulate, to_x
-from vechgarch.solver import gammas, recover_sigma, solve_b
+from vechgarch.solver import estimate, gammas, recover_sigma, solve_b
 
 
 def pipeline_lambda(ms):
@@ -150,7 +150,7 @@ def test_xi_shapes_and_clipping():
 
 def test_standard_errors_end_to_end(ref_spec_d1):
     x = to_x(simulate(ref_spec_d1, 40_000, seed=61).y)
-    report = standard_errors(x)
+    report = standard_errors(estimate(x), x)
     assert report.n == x.shape[0]
     assert report.psi_method == "hac-bartlett"
     from vechgarch.moments import default_bandwidth
@@ -159,28 +159,70 @@ def test_standard_errors_end_to_end(ref_spec_d1):
     assert (report.std_errors > 0.0).all()
     assert (report.std_errors < 1.0).all()
 
-    spherical = standard_errors(x, method="spherical-block")
+    spherical = standard_errors(estimate(x), x, method="spherical-block")
     assert spherical.psi_method == "spherical-block"
     assert (spherical.std_errors > 0.0).all()
 
     with pytest.raises(InvalidInput):
-        standard_errors(x, method="bootstrap")
+        standard_errors(estimate(x), x, method="bootstrap")
 
 
 def test_standard_errors_shrink_with_n(ref_spec_d1):
     small = to_x(simulate(ref_spec_d1, 10_000, seed=67).y)
     large = to_x(simulate(ref_spec_d1, 80_000, seed=67).y)
-    se_small = standard_errors(small).std_errors
-    se_large = standard_errors(large).std_errors
+    se_small = standard_errors(estimate(small), small).std_errors
+    se_large = standard_errors(estimate(large), large).std_errors
     assert (se_large < se_small).all()
 
 
 def test_report_json_names_errors(ref_spec_d1):
     x = to_x(simulate(ref_spec_d1, 8_000, seed=71).y)
-    payload = standard_errors(x).to_json()
+    payload = standard_errors(estimate(x), x).to_json()
     assert set(payload["std_errors"]) == {"c[0]", "A[0][0]", "B[0][0]"}
     assert payload["n"] == 8_000
     assert payload["caveats"]
+
+
+def test_standard_errors_reuse_the_fitted_state(ref_spec_d1):
+    # The report's stored state is the one from_moments builds, so the two
+    # routes to the delta method agree bit for bit.
+    x = to_x(simulate(ref_spec_d1, 8_000, seed=73).y)
+    via_report = standard_errors(estimate(x), x)
+    js = JacobianState.from_moments(sample_moments(x))
+    direct = xi(jacobian_matrix(js), hac_psi(x), x.shape[0])
+    assert np.array_equal(via_report.xi, direct.xi)
+    assert np.array_equal(via_report.std_errors, direct.std_errors)
+
+
+def test_standard_errors_allow_one_lag_pooled_methods(ref_spec_d1):
+    # With lags = 1 the weighted and stacked least-squares Phi are the
+    # lag-1 map m2 m1^-1 itself.
+    x = to_x(simulate(ref_spec_d1, 8_000, seed=79).y)
+    base = standard_errors(estimate(x), x).std_errors
+    for method in ("weighted", "lstsq"):
+        se = standard_errors(estimate(x, phi_method=method, lags=1), x).std_errors
+        assert_allclose(se, base, rtol=1e-8)
+
+
+@pytest.mark.parametrize("method", ["weighted", "lstsq"])
+def test_standard_errors_refuse_pooled_lags(ref_spec_d1, method):
+    x = to_x(simulate(ref_spec_d1, 8_000, seed=83).y)
+    report = estimate(x, phi_method=method, lags=3)
+    with pytest.raises(InvalidInput, match=f"pools 3 lag identities \\({method}\\)"):
+        standard_errors(report, x)
+
+
+def test_standard_errors_refuse_projected_phi():
+    ms = vg.MomentSet(mean=[1.0], m0=[[2.0]], m1=[[1.9]], m2=[[2.0]])
+    report = estimate(ms, project=True)
+    with pytest.raises(InvalidInput, match="projected"):
+        standard_errors(report, np.ones((100, 1)))
+
+
+def test_standard_errors_refuse_aggregation_report(ref_spec_d1):
+    agg = vg.aggregate_params(vg.AggregationInput(ref_spec_d1, np.eye(1), 2, "stock"))
+    with pytest.raises(InvalidInput, match="aggregation report"):
+        standard_errors(agg.report, np.ones((100, 1)))
 
 
 def test_jacobian_norm_grows_with_persistence():

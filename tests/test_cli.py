@@ -91,6 +91,42 @@ def test_estimate_with_standard_errors(tmp_path, spec_file, capsys):
     assert all(v > 0 for v in se.values())
 
 
+def test_estimate_with_se_solves_once(tmp_path, spec_file, monkeypatch):
+    import vechgarch.solver as solver
+
+    data = tmp_path / "y.csv"
+    assert run_cli("simulate", "--params", spec_file, "--out", data,
+                   "--n", 5000, "--seed", 13) == 0
+    calls = {"solve_b": 0, "sample_moments": 0}
+    modules = [m for name, m in sys.modules.items() if name.startswith("vechgarch")]
+    for name in calls:
+        original = getattr(solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # Count the function, whichever module namespace it is called from.
+        for module in modules:
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, counted)
+    assert main(["estimate", "--data", str(data), "--with-se"]) == 0
+    assert calls == {"solve_b": 1, "sample_moments": 1}
+
+
+def test_estimate_with_se_refuses_pooled_lags(tmp_path, spec_file, capsys):
+    data = tmp_path / "y.csv"
+    assert run_cli("simulate", "--params", spec_file, "--out", data,
+                   "--n", 5000, "--seed", 13) == 0
+    capsys.readouterr()
+    code = run_cli("estimate", "--data", data, "--phi-method", "lstsq",
+                   "--lags", 4, "--with-se")
+    assert code == 1
+    out = capsys.readouterr()
+    assert "pools 4 lag identities" in out.err
+    assert out.out == ""
+
+
 def test_estimate_unimodular_data_is_exit_4(capsys):
     code = run_cli("estimate", "--data", FIXTURES / "unimodular.csv")
     assert code == 4
@@ -199,6 +235,18 @@ def test_montecarlo_with_coverage_columns(tmp_path, spec_file):
              if not line.startswith("#") and line]
     first = lines[1].split(",")
     assert first[7] != ""  # cover_c populated
+
+
+def test_montecarlo_with_se_marks_pooled_lags_invalid(tmp_path, spec_file):
+    out = tmp_path / "mc.csv"
+    code = run_cli("montecarlo", "--params", spec_file, "--reps", 1,
+                   "--n", "2000", "--seed", 2, "--burn-in", 200,
+                   "--phi-method", "weighted", "--lags", 2, "--with-se",
+                   "--out", out)
+    assert code == 0
+    rows = [line for line in out.read_text().strip().splitlines()
+            if not line.startswith("#")]
+    assert rows[1].split(",")[2] == "InvalidInput"
 
 
 def test_unknown_subcommand_is_exit_1():
