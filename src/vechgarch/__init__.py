@@ -3,7 +3,7 @@
 The squared-returns process of a vech-GARCH(1,1) is a VARMA(1,1), so the
 model parameters are explicit functions of the process mean and its first
 three autocovariances.  This package computes those functions directly:
-no likelihood, no optimiser, a single eigendecomposition.  It also
+no likelihood, no optimiser, one cyclic-reduction solve.  It also
 provides delta-method standard errors and exact temporal aggregation of
 parameter sets.
 """
@@ -28,7 +28,6 @@ from .asymptotics import (
 )
 from .exceptions import (
     EstimationWarning,
-    IllConditionedEigenvectors,
     InsufficientData,
     InvalidInput,
     MissingSigmaW,
@@ -36,7 +35,6 @@ from .exceptions import (
     NotPositiveDefinite,
     NumericalFailure,
     PositivityViolation,
-    SelectionCountMismatch,
     SingularLyapunov,
     SingularMatrix,
     UnimodularEigenvalues,
@@ -78,7 +76,6 @@ from .solver import (
     project_stationary,
     recover_sigma,
     solve_b,
-    solvent_from_pairs,
 )
 
 __version__ = "0.1.0"

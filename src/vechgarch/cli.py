@@ -176,16 +176,21 @@ def _write_montecarlo(rows, ns, args):
             writer.writerow(row)
         for n in ns:
             done = [r for r in rows if r["n"] == n]
-            ok = [r for r in done if r["status"] == "ok"]
-            failures = len(done) - len(ok)
-            parts = [f"# summary n={n} reps={len(done)} failures={failures}"]
-            if ok:
-                med = np.median([float(r["err_max"]) for r in ok])
+            # A fit whose standard errors were refused keeps its errors: it
+            # counts toward the median and as se_refused, not as a failure.
+            fitted = [r for r in done if r["err_max"] != ""]
+            ok = [r for r in fitted if r["status"] == "ok"]
+            parts = [f"# summary n={n} reps={len(done)} "
+                     f"failures={len(done) - len(fitted)}"]
+            if args.with_se:
+                parts.append(f"se_refused={len(fitted) - len(ok)}")
+            if fitted:
+                med = np.median([float(r["err_max"]) for r in fitted])
                 parts.append(f"median_err_max={med:.10g}")
-                if args.with_se:
-                    for key in ("cover_c", "cover_a", "cover_b"):
-                        mean = np.mean([float(r[key]) for r in ok])
-                        parts.append(f"{key}={mean:.6g}")
+            if args.with_se and ok:
+                for key in ("cover_c", "cover_a", "cover_b"):
+                    mean = np.mean([float(r[key]) for r in ok])
+                    parts.append(f"{key}={mean:.6g}")
             print(" ".join(parts), file=out)
     finally:
         if args.out:

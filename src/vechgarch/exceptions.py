@@ -50,17 +50,9 @@ class InsufficientData(VechGarchError):
 
 
 class UnimodularEigenvalues(VechGarchError):
-    """The companion matrix has eigenvalues on (or too close to) the unit
-    circle, so no stable/anti-stable eigenvalue split exists."""
-
-
-class SelectionCountMismatch(VechGarchError):
-    """The number of eigenvalues strictly inside the unit circle does not
-    match the problem dimension."""
-
-
-class IllConditionedEigenvectors(VechGarchError):
-    """An eigenvector matrix is too ill conditioned to invert reliably."""
+    """The palindromic quadratic has eigenvalues on (or too close to) the
+    unit circle, so no stable solvent exists: cyclic reduction did not
+    converge, hit a singular block, or gave ``rho(B)`` inside the band."""
 
 
 class PositivityViolation(VechGarchError):

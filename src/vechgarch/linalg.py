@@ -63,8 +63,9 @@ class ToleranceConfig:
         Smallest acceptable ratio of extreme singular values before a
         square matrix counts as singular.
     unimodular : float
-        Half-width of the exclusion band around the unit circle used when
-        splitting companion-matrix eigenvalues.
+        Width of the band below 1 that ``rho(B)`` of a solvent must stay out
+        of, which keeps the companion eigenvalues ``(lambda, 1/lambda)`` off
+        the unit circle.
     realify : float
         Relative imaginary residue allowed when casting a reconstructed
         matrix back to the reals.

@@ -7,14 +7,17 @@ estimates:
    weighted and stacked least-squares variants over extra lags),
 2. innovation autocovariances ``gamma0 = m0 - m1 Phi' - Phi m1' +
    Phi m0 Phi'`` and ``gamma1 = m1 - Phi m0``,
-3. the moving-average matrix ``B`` as the stabilising solvent of the
-   palindromic quadratic ``gamma1' + gamma0 B' + gamma1 (B')^2 = 0``,
-   obtained from the eigenvalues of a ``2 dbar x 2 dbar`` companion matrix
-   that come in ``(lambda, 1/lambda)`` pairs,
-4. ``Sigma = -B^{-1} gamma1``, ``A = Phi - B`` and ``c = (I - Phi) h``.
+3. the moving-average matrix ``B = -gamma1 Sigma^{-1}``, the stable solvent
+   of the palindromic quadratic ``gamma1' + gamma0 B' + gamma1 (B')^2 = 0``,
+   where ``Sigma`` is the maximal solution of the nonlinear matrix equation
+   ``gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'``, computed by cyclic
+   reduction without eigenvectors; the eigenvalues of ``B`` and their
+   reciprocals are the ``(lambda, 1/lambda)`` pairs of the quadratic,
+4. ``Sigma = gamma0 + gamma1 B'`` (that equation again, now from ``B``),
+   ``A = Phi - B`` and ``c = (I - Phi) h``.
 
-Everything is deterministic linear algebra; no iterative optimisation is
-involved anywhere.
+Everything is deterministic linear algebra: the cyclic reduction is a
+fixed-point recursion that converges quadratically, not an optimiser.
 """
 
 from __future__ import annotations
@@ -27,11 +30,8 @@ import numpy as np
 from . import linalg
 from .exceptions import (
     EstimationWarning,
-    IllConditionedEigenvectors,
     InvalidInput,
     NotPositiveDefinite,
-    NumericalFailure,
-    SelectionCountMismatch,
     SingularMatrix,
     UnimodularEigenvalues,
     VechGarchError,
@@ -50,7 +50,6 @@ __all__ = [
     "phi_weighted",
     "build_p",
     "solve_b",
-    "solvent_from_pairs",
     "pme_residual",
     "nme_residual",
     "recover_sigma",
@@ -97,8 +96,9 @@ class GammaState:
 class SolventResult:
     """Stable solvent of the palindromic quadratic plus its spectral data.
 
-    ``p_eigenvalues`` holds all ``2 dbar`` companion eigenvalues sorted by
-    ascending modulus; ``b_eigenvalues`` the selected stable half.
+    ``b_eigenvalues`` holds the eigenvalues of ``b`` sorted by ascending
+    modulus; ``p_eigenvalues`` all ``2 dbar`` companion eigenvalues, the
+    ``b_eigenvalues`` followed by their reciprocals, also ascending.
     """
 
     b: np.ndarray
@@ -241,7 +241,8 @@ def build_p(gs, tol=DEFAULT_TOL):
     ``P = [[0, I], [-gamma1^{-1} gamma1', -gamma1^{-1} gamma0]]`` whose
     eigenvalues come in ``(lambda, 1/lambda)`` pairs.  ``gamma1`` must be
     invertible; a singular ``gamma1`` (e.g. ``B = 0``) has no companion
-    linearisation of this form.
+    linearisation of this form.  :func:`solve_b` does not use it; its
+    ``p_eigenvalues`` are this spectrum, computed from ``B`` alone.
     """
     k = gs.dbar
     try:
@@ -259,42 +260,6 @@ def build_p(gs, tol=DEFAULT_TOL):
     return p
 
 
-def _check_conjugate_closure(values, tol):
-    vals = np.asarray(values)
-    complex_vals = vals[np.abs(vals.imag) > tol * (1.0 + np.abs(vals))]
-    if complex_vals.size == 0:
-        return
-    a = np.sort_complex(complex_vals)
-    b = np.sort_complex(np.conj(complex_vals))
-    if not np.allclose(a, b, rtol=1e-9, atol=1e-12):
-        raise NumericalFailure(
-            "selected eigenvalues are not closed under complex conjugation"
-        )
-
-
-def solvent_from_pairs(values, vectors_top, tol=DEFAULT_TOL):
-    """Solvent ``(U')^{-1} diag(values) U'`` from chosen eigenpairs.
-
-    ``vectors_top`` holds the upper ``dbar``-blocks of companion
-    eigenvectors as columns.  Any selection of ``dbar`` eigenpairs with an
-    invertible ``U`` yields a (generally complex) solution of the
-    palindromic quadratic; only selections closed under conjugation give a
-    real one.
-    """
-    u = np.asarray(vectors_top)
-    vals = np.asarray(values)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvalidInput(f"vectors_top must be square, got shape {u.shape}")
-    if vals.shape != (u.shape[0],):
-        raise InvalidInput("need exactly one eigenvalue per eigenvector column")
-    cond = np.linalg.cond(u)
-    if not np.isfinite(cond) or cond > tol.eigvec_cond:
-        raise IllConditionedEigenvectors(
-            f"eigenvector block has condition number {cond:.3e}"
-        )
-    return np.linalg.solve(u.T, vals[:, None] * u.T)
-
-
 def pme_residual(gs, b):
     """Frobenius residual of the palindromic quadratic at ``b``."""
     bt = np.asarray(b).T
@@ -310,87 +275,99 @@ def nme_residual(gs, sigma, tol=DEFAULT_TOL):
     return float(np.linalg.norm(res))
 
 
-def solve_b(gs, tol_unimodular=None, tol=DEFAULT_TOL):
-    """Stable solvent of the palindromic quadratic.
+# Cyclic reduction squares its decaying blocks at every step, so 32 steps
+# reach convergence for any rho(B) up to 1 - 1e-8, the default unimodular
+# band.  With eigenvalues on the unit circle the blocks stall, or decay only
+# linearly and meet the stopping test late (after 53 or more steps on sample
+# states), so the cap refuses them.
+_CR_MAX_STEPS = 32
 
-    Eigenvalues of the companion matrix are sorted by ascending modulus;
-    the ``dbar`` smallest must lie strictly inside the unit circle and the
-    rest strictly outside, with a symmetric exclusion band of width
-    ``tol_unimodular`` around the circle.  The solvent is assembled from
-    the stable eigenpairs and cast back to the reals.
+
+def _no_stable_solvent(why):
+    return UnimodularEigenvalues(
+        f"{why}: the quadratic has eigenvalues on or too close to the unit "
+        "circle; no stable solvent exists"
+    )
+
+
+def solve_b(gs, tol_unimodular=None, tol=DEFAULT_TOL):
+    """Stable solvent of the palindromic quadratic, by cyclic reduction.
+
+    Meini's cyclic reduction on ``gamma1' + gamma0 G + gamma1 G^2 = 0`` with
+    ``G = B'`` starts from ``(A_-1, A_0, A_1, Ahat) = (gamma1', gamma0,
+    gamma1, gamma0)``.  Each step solves ``A_0`` against ``[A_-1 A_1]`` and
+    sets ``A_-1 <- -A_-1 A_0^{-1} A_-1``, ``A_1 <- -A_1 A_0^{-1} A_1``,
+    ``A_0 <- A_0 - A_-1 A_0^{-1} A_1 - A_1 A_0^{-1} A_-1`` and ``Ahat <- Ahat
+    - A_1 A_0^{-1} A_-1``.  Once ``||A_1|| <= eps ||Ahat||``, ``Ahat`` is the
+    maximal solution ``Sigma`` of ``gamma0 = Sigma + gamma1 Sigma^{-1}
+    gamma1'`` and ``B = -gamma1 Sigma^{-1}``.  Neither ``gamma1`` nor ``B``
+    is inverted, so a singular ``B`` (or ``B = 0``) is solved like any other.
+
+    ``b_eigenvalues`` are the eigenvalues of ``B`` by ascending modulus;
+    ``p_eigenvalues`` appends their reciprocals (``inf`` for an exactly zero
+    eigenvalue), which completes the ``(lambda, 1/lambda)`` spectrum of the
+    quadratic's companion matrix.
 
     Raises
     ------
     UnimodularEigenvalues
-        If any eigenvalue modulus falls inside the exclusion band: the
-        moving-average matrix would have an eigenvalue on the unit circle,
-        where no stable/anti-stable split exists.
-    SelectionCountMismatch
-        If the count of in-circle eigenvalues differs from ``dbar``.
+        If the recursion has not converged after ``_CR_MAX_STEPS`` steps,
+        ``A_0`` turns singular, or ``rho(B) >= 1 - tol_unimodular``: the
+        quadratic then has eigenvalues on (or within the band of) the unit
+        circle, where no stable/anti-stable split exists.
     """
     band = tol.unimodular if tol_unimodular is None else float(tol_unimodular)
     k = gs.dbar
-    p = build_p(gs, tol=tol)
-    dec = linalg.eig(p)
-    order = np.argsort(np.abs(dec.eigenvalues), kind="stable")
-    values = dec.eigenvalues[order]
-    vectors = dec.eigenvectors[:, order]
-    moduli = np.abs(values)
-    on_circle = np.abs(moduli - 1.0) <= band
-    if on_circle.any():
-        worst = moduli[on_circle] - 1.0
-        raise UnimodularEigenvalues(
-            f"{int(on_circle.sum())} companion eigenvalue(s) within {band:g} of the "
-            f"unit circle (closest offset {worst[np.abs(worst).argmin()]:.3e}); "
-            "no stable solvent exists"
-        )
-    inside = int((moduli < 1.0).sum())
-    if inside != k:
-        raise SelectionCountMismatch(
-            f"{inside} eigenvalues inside the unit circle, expected {k}"
-        )
-    sel_values = values[:k]
-    sel_top = vectors[:k, :k]
-    _check_conjugate_closure(sel_values, tol.realify)
-    b_complex = solvent_from_pairs(sel_values, sel_top, tol=tol)
-    scale = np.linalg.norm(b_complex)
-    imag_norm = np.linalg.norm(b_complex.imag)
-    if imag_norm > tol.realify * (1.0 + scale):
-        raise NumericalFailure(
-            f"imaginary residue {imag_norm:.3e} too large to realify the solvent"
-        )
-    b = np.ascontiguousarray(b_complex.real)
+    a_minus, a_zero, a_plus, a_hat = gs.gamma1.T, gs.gamma0, gs.gamma1, gs.gamma0
+    for step in range(1, _CR_MAX_STEPS + 1):
+        try:
+            s = np.linalg.solve(a_zero, np.hstack([a_minus, a_plus]))
+        except np.linalg.LinAlgError:
+            s = None
+        if s is None or not np.isfinite(s).all():
+            raise _no_stable_solvent(f"cyclic reduction: A_0 singular at step {step}")
+        s_minus, s_plus = s[:, :k], s[:, k:]
+        t = a_plus @ s_minus
+        a_hat = a_hat - t
+        a_zero = a_zero - a_minus @ s_plus - t
+        a_minus, a_plus = -a_minus @ s_minus, -a_plus @ s_plus
+        if np.linalg.norm(a_plus) <= np.finfo(float).eps * np.linalg.norm(a_hat):
+            break
+    else:
+        raise _no_stable_solvent(
+            f"cyclic reduction did not converge in {_CR_MAX_STEPS} steps")
+    b = linalg.rsolve(-gs.gamma1, linalg.sym(a_hat), tol=tol, name="Sigma")
+    values = np.linalg.eigvals(b).astype(complex)
+    values = values[np.argsort(np.abs(values), kind="stable")]
+    rho = float(np.abs(values[-1]))
+    if rho >= 1.0 - band:
+        raise _no_stable_solvent(f"rho(B) = {rho:.10g} is within {band:g} of 1")
+    reciprocals = np.full(k, np.inf, dtype=complex)
+    nonzero = values != 0
+    reciprocals[nonzero] = 1.0 / values[nonzero]
     return SolventResult(
         b=b,
-        b_eigenvalues=sel_values,
-        p_eigenvalues=values,
+        b_eigenvalues=values,
+        p_eigenvalues=np.concatenate([values, reciprocals[::-1]]),
         residual_pme=pme_residual(gs, b),
     )
 
 
 def recover_sigma(b, gs, tol=DEFAULT_TOL):
-    """Innovation covariance ``Sigma = -B^{-1} gamma1``.
+    """Innovation covariance ``Sigma = gamma0 + gamma1 B'``.
 
-    The raw solution's relative asymmetry is recorded as ``symmetry_gap``
-    and the returned matrix is symmetrised.  A non-positive-definite result
-    is reported through a warning entry, never repaired.  When ``B`` is
-    numerically zero the MA part is absent and ``gamma0`` itself is
-    returned (with a warning); a singular but nonzero ``B`` is an error.
+    This is the equation ``gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'``
+    with ``B = -gamma1 Sigma^{-1}`` substituted, so ``B`` need not be
+    invertible.  The raw solution's relative asymmetry is recorded as
+    ``symmetry_gap`` and the returned matrix is symmetrised.  A
+    non-positive-definite result is reported through a warning entry,
+    never repaired.
     """
     bm = np.atleast_2d(np.asarray(b, dtype=float))
+    raw = gs.gamma0 + gs.gamma1 @ bm.T
+    gap = linalg.asymmetry(raw)
+    sigma = linalg.sym(raw)
     notes = []
-    scale = 1.0 + np.linalg.norm(gs.gamma0)
-    if np.linalg.norm(bm) <= 1e-10 * scale:
-        notes.append({
-            "code": "b_zero",
-            "message": "B is numerically zero; returning gamma0 as Sigma",
-        })
-        sigma = linalg.sym(gs.gamma0)
-        gap = 0.0
-    else:
-        raw = -linalg.solve(bm, gs.gamma1, tol=tol, name="B")
-        gap = linalg.asymmetry(raw)
-        sigma = linalg.sym(raw)
     try:
         linalg.cholesky(sigma, tol=tol)
     except (NotPositiveDefinite, InvalidInput):
@@ -486,7 +463,7 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
         Project a nonstationary ``Phi`` estimate back inside the unit
         circle before forming the innovation autocovariances.
     tol_unimodular : float, optional
-        Exclusion band around the unit circle for the eigenvalue split.
+        Band below 1 that ``rho(B)`` must stay out of (see :func:`solve_b`).
 
     Returns
     -------

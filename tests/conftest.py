@@ -36,3 +36,20 @@ def ref_spec_d1():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240814))
+
+
+@pytest.fixture(params=[(0.5, 0.0, 0.4), (0.0, 0.0, 0.0)], ids=["singular_b", "zero_b"])
+def singular_b_model(request):
+    # d = 2 spec with a singular diagonal B (B = 0 in the second case), and
+    # a positive definite innovation covariance: a well-defined model whose
+    # lag-1 innovation autocovariance -B Sigma is singular.
+    a = np.array([
+        [0.10, 0.02, 0.01],
+        [0.01, 0.30, 0.02],
+        [0.02, 0.01, 0.15],
+    ])
+    b = np.diag(request.param)
+    h = np.array([1.0, 0.25, 1.0])
+    spec = vg.GarchSpec(d=2, c=(np.eye(3) - a - b) @ h, A=a, B=b)
+    sigma = vg.random_sigma(3, np.random.Generator(np.random.Philox(14)))
+    return spec, sigma

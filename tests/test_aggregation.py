@@ -239,3 +239,18 @@ def test_aggregated_spec_json(ref_spec_d2):
     payload = agg.to_json()
     assert payload["m"] == 2 and payload["kind"] == "stock"
     assert set(payload) >= {"d", "c", "A", "B", "m", "kind"}
+
+
+def test_aggregation_with_singular_b(singular_b_model):
+    spec, sigma = singular_b_model
+    same = aggregate_params(AggregationInput(spec=spec, sigma=sigma, m=1,
+                                             kind="stock"))
+    for got, want in ((same.spec_m.c, spec.c), (same.spec_m.A, spec.A),
+                      (same.spec_m.B, spec.B), (same.report.sigma, sigma)):
+        assert np.abs(got - want).max() <= 1e-10
+    for kind, kwargs in (("stock", {}), ("flow", {"sigma_w": np.zeros((3, 3))})):
+        agg = aggregate_params(AggregationInput(spec=spec, sigma=sigma, m=2,
+                                                kind=kind, **kwargs))
+        bound = 1e-8 * (1.0 + np.linalg.norm(agg.report.gamma_state.gamma0))
+        assert agg.report.residual_pme <= bound
+        assert agg.report.residual_nme <= bound

@@ -249,6 +249,27 @@ def test_montecarlo_with_se_marks_pooled_lags_invalid(tmp_path, spec_file):
     assert rows[1].split(",")[2] == "InvalidInput"
 
 
+def test_montecarlo_with_se_keeps_refused_se_rows_in_the_median(tmp_path, spec_file):
+    # The fits succeed and only their standard errors are refused: no
+    # failures, a median over both rows, and the refusals counted apart.
+    out = tmp_path / "mc.csv"
+    code = run_cli("montecarlo", "--params", spec_file, "--reps", 2,
+                   "--n", "2000", "--phi-method", "weighted", "--lags", 2,
+                   "--with-se", "--out", out)
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert [row[2] for row in rows] == ["InvalidInput", "InvalidInput"]
+    summary = [line for line in lines if line.startswith("# summary")]
+    assert len(summary) == 1
+    fields = dict(part.split("=") for part in summary[0].split()[2:])
+    assert fields["failures"] == "0"
+    assert fields["se_refused"] == "2"
+    assert_allclose(float(fields["median_err_max"]),
+                    np.median([float(row[3]) for row in rows]), rtol=1e-9)
+    assert "cover_c" not in fields
+
+
 def test_unknown_subcommand_is_exit_1():
     assert run_cli("frobnicate") == 1
 

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +14,7 @@ from vechgarch.exceptions import (
     SingularMatrix,
     UnimodularEigenvalues,
 )
+from vechgarch.moments import sample_moments
 from vechgarch.simulate import simulate, to_x
 from vechgarch.solver import (
     GammaState,
@@ -24,7 +28,6 @@ from vechgarch.solver import (
     project_stationary,
     recover_sigma,
     solve_b,
-    solvent_from_pairs,
 )
 
 
@@ -193,48 +196,6 @@ def test_solve_b_matches_scalar_quadratic(rng):
         assert abs(sol.b[0, 0] - root) <= 1e-10
 
 
-def test_any_eigenpair_selection_solves_the_quadratic():
-    # Not just the stable half: every selection of dbar companion
-    # eigenpairs with an invertible top block yields a solvent.
-    rng = np.random.Generator(np.random.Philox(6))
-    v = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
-    b = v @ np.diag([0.3, 0.7]) @ np.linalg.inv(v)
-    sigma = vg.random_sigma(2, rng)
-    gs = gamma_state_of(b, sigma)
-    dec = linalg.eig(build_p(gs))
-    order = np.argsort(np.abs(dec.eigenvalues))
-    scale = 1.0 + np.linalg.norm(gs.gamma0) + np.linalg.norm(gs.gamma1)
-    for pick in ([0, 1], [0, 2], [1, 3], [2, 3]):
-        idx = order[list(pick)]
-        cand = solvent_from_pairs(dec.eigenvalues[idx], dec.eigenvectors[:2, idx])
-        assert pme_residual(gs, cand) <= 1e-8 * scale
-
-
-def test_solvent_invariant_under_eigenvector_scaling():
-    rng = np.random.Generator(np.random.Philox(8))
-    b, sigma = random_ma_pair(rng, 3)
-    gs = gamma_state_of(b, sigma)
-    dec = linalg.eig(build_p(gs))
-    order = np.argsort(np.abs(dec.eigenvalues))[:3]
-    values = dec.eigenvalues[order]
-    top = dec.eigenvectors[:3, order]
-    base = solvent_from_pairs(values, top)
-    scales = np.array([2.0, -0.5 + 1.0j, 3.0j])
-    perm = [2, 0, 1]
-    again = solvent_from_pairs(values[perm], (top * scales)[:, perm])
-    assert np.abs(again - base).max() <= 1e-10 * (1.0 + np.abs(base).max())
-
-
-def test_solvent_from_pairs_validation():
-    with pytest.raises(InvalidInput):
-        solvent_from_pairs(np.array([0.5]), np.eye(2))
-    from vechgarch.exceptions import IllConditionedEigenvectors
-
-    with pytest.raises(IllConditionedEigenvectors):
-        solvent_from_pairs(np.array([0.5, 0.6]),
-                           np.array([[1.0, 1.0], [1e-16, 0.0]]))
-
-
 def test_unimodular_band_raises():
     # gamma0 = 2, gamma1 = -1 puts both companion eigenvalues at exactly 1.
     gs = GammaState(phi=[[0.9]], gamma0=[[2.0]], gamma1=[[-1.0]])
@@ -244,13 +205,17 @@ def test_unimodular_band_raises():
     gs2 = GammaState(phi=[[0.9]], gamma0=[[-1.0]], gamma1=[[1.0]])
     with pytest.raises(UnimodularEigenvalues):
         solve_b(gs2)
+    # b^2 + 1 = 0 puts the pair at +-i, and A_0 = gamma0 = 0 is singular.
+    gs3 = GammaState(phi=[[0.9]], gamma0=[[0.0]], gamma1=[[1.0]])
+    with pytest.raises(UnimodularEigenvalues, match="singular"):
+        solve_b(gs3)
 
 
 def test_unimodular_band_is_configurable():
     b, sigma = np.array([[0.98]]), np.array([[1.0]])
     gs = gamma_state_of(b, sigma)
     assert_allclose(solve_b(gs).b, b, rtol=1e-10)
-    with pytest.raises(UnimodularEigenvalues):
+    with pytest.raises(UnimodularEigenvalues, match="within 0.05"):
         solve_b(gs, tol_unimodular=0.05)
 
 
@@ -260,15 +225,64 @@ def test_recover_sigma_zero_b():
                     gamma1=np.zeros((2, 2)))
     rec = recover_sigma(np.zeros((2, 2)), gs)
     assert_allclose(rec.sigma, gs.gamma0)
-    assert any(w["code"] == "b_zero" for w in rec.warnings)
     assert rec.nme_residual <= 1e-12
 
 
 def test_recover_sigma_flags_indefinite():
-    gs = GammaState(phi=[[0.5]], gamma0=[[1.0]], gamma1=[[0.5]])
+    # B = 0.5 solves 1 - 2.5 b + b^2 = 0, and Sigma = gamma0 + gamma1 B' =
+    # -B^{-1} gamma1 = -2.
+    gs = GammaState(phi=[[0.5]], gamma0=[[-2.5]], gamma1=[[1.0]])
     rec = recover_sigma(np.array([[0.5]]), gs)
-    assert_allclose(rec.sigma, [[-1.0]])
+    assert_allclose(rec.sigma, [[-2.0]])
     assert any(w["code"] == "sigma_not_pd" for w in rec.warnings)
+
+
+def test_refusals_match_the_companion_spectrum(ref_spec_d1, ref_spec_d2):
+    # Small-sample states on both sides of the identifiable region: solve_b
+    # refuses exactly where the companion spectrum of build_p has a modulus
+    # within the unimodular band, and elsewhere reports that spectrum.
+    band = linalg.DEFAULT_TOL.unimodular
+    refused = accepted = 0
+    for spec, n, seeds in ((ref_spec_d1, 200, range(1000, 1150)),
+                           (ref_spec_d2, 400, range(1000, 1060))):
+        for seed in seeds:
+            gs = gammas(sample_moments(to_x(simulate(spec, n, seed=seed).y)))
+            companion = linalg.eig(build_p(gs)).eigenvalues
+            if (np.abs(np.abs(companion) - 1.0) <= band).any():
+                with pytest.raises(UnimodularEigenvalues, match="unit circle"):
+                    solve_b(gs)
+                refused += 1
+                continue
+            got = solve_b(gs).p_eigenvalues
+            assert np.all(np.diff(np.abs(got)) >= 0.0)
+            gap = np.abs(got[:, None] - companion[None, :]) / np.abs(companion)
+            assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10
+            accepted += 1
+    assert refused >= 10 and accepted >= 100
+
+
+def test_estimate_round_trip_with_singular_b(singular_b_model):
+    # The companion matrix needs gamma1 = -B Sigma invertible; cyclic
+    # reduction does not.
+    spec, sigma = singular_b_model
+    report = estimate(vg.population_moments(spec, sigma))
+    assert np.abs(report.spec.c - spec.c).max() <= 1e-10
+    assert np.abs(report.spec.A - spec.A).max() <= 1e-10
+    assert np.abs(report.spec.B - spec.B).max() <= 1e-10
+    assert np.abs(report.sigma - sigma).max() <= 1e-10
+    payload = report.to_json()
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def test_zero_b_eigenvalue_has_an_infinite_reciprocal():
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    gs = GammaState(phi=np.zeros((2, 2)), gamma0=sigma, gamma1=np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_b(gs)
+    assert np.array_equal(sol.b, np.zeros((2, 2)))
+    assert np.array_equal(sol.p_eigenvalues, [0.0, 0.0, np.inf, np.inf])
+    assert_allclose(recover_sigma(sol.b, gs).sigma, sigma)
 
 
 # ---------------------------------------------------------------------------
