@@ -119,25 +119,32 @@ def jacobian_action(js, dmean, dm0, dm1, dm2, tol=DEFAULT_TOL):
     - ``dB = -(dgamma1 + B dSigma) Sigma^{-1}``, ``dA = dPhi - dB``,
     - ``dc = -dPhi h + (I - Phi) dh``, the derivative of ``c = (I - Phi) h``.
 
+    Directions may be batched: ``dmean`` of shape ``(..., dbar)`` and the
+    ``dm*`` of shape ``(..., dbar, dbar)`` give the stacked derivatives, all
+    taken through one right division by each of ``m1`` and ``Sigma`` and
+    one Lyapunov solve.
+
     Returns the triple ``(dc, dA, dB)``.
     """
     k = js.dbar
-    dmean = np.asarray(dmean, dtype=float).reshape(k)
-    dm0 = np.asarray(dm0, dtype=float).reshape(k, k)
-    dm1 = np.asarray(dm1, dtype=float).reshape(k, k)
-    dm2 = np.asarray(dm2, dtype=float).reshape(k, k)
+    dmean = np.asarray(dmean, dtype=float)
+    lead = dmean.shape[:-1]
+    dmean = dmean.reshape(lead + (k,))
+    dm0, dm1, dm2 = (np.asarray(m, dtype=float).reshape(lead + (k, k))
+                     for m in (dm0, dm1, dm2))
     phi, m0, m1 = js.phi, js.m0, js.m1
     b, sigma = js.b, js.sigma
     dphi = linalg.rsolve(dm2 - phi @ dm1, m1, tol=tol, name="m1")
     dgamma1 = dm1 - dphi @ m0 - phi @ dm0
-    dgamma0 = (dm0 - dm1 @ phi.T - m1 @ dphi.T - dphi @ m1.T - phi @ dm1.T
-               + dphi @ m0 @ phi.T + phi @ dm0 @ phi.T + phi @ m0 @ dphi.T)
-    dgamma0 = linalg.sym(dgamma0)
-    rhs = dgamma0 + dgamma1 @ b.T + b @ dgamma1.T
+    # gamma0 = m0 - m1 Phi' - Phi m1' + Phi m0 Phi': under sym, each cross
+    # term of its derivative and its transpose add up to twice the one.
+    dgamma0 = linalg.sym(dm0 + phi @ dm0 @ phi.T + 2.0 * (
+        dphi @ linalg.sym(m0) @ phi.T - dphi @ m1.T - dm1 @ phi.T))
+    rhs = dgamma0 + 2.0 * linalg.sym(dgamma1 @ b.T)
     dsigma = linalg.dlyap(b, rhs, tol=tol)
     db = -linalg.rsolve(dgamma1 + b @ dsigma, sigma, tol=tol, name="sigma")
     da = dphi - db
-    dc = -dphi @ js.mean + (np.eye(k) - phi) @ dmean
+    dc = -dphi @ js.mean + dmean @ (np.eye(k) - phi).T
     return dc, da, db
 
 
@@ -145,30 +152,15 @@ def jacobian_matrix(js, tol=DEFAULT_TOL):
     """Full Jacobian, ``(dbar + 2 dbar^2) x (dbar + 3 dbar^2)``.
 
     Columns run over the moment coordinates ``(mean, vec m0, vec m1,
-    vec m2)`` and rows over ``(c, vec A, vec B)``.
+    vec m2)`` and rows over ``(c, vec A, vec B)``.  Column ``i`` is the
+    derivative along the ``i``-th unit moment direction; all of them come
+    from one batched :func:`jacobian_action` call.
     """
     k = js.dbar
-    zero_v = np.zeros(k)
-    zero_m = np.zeros((k, k))
-    cols = []
-
-    def column(dmean, dm0, dm1, dm2):
-        dc, da, db = jacobian_action(js, dmean, dm0, dm1, dm2, tol=tol)
-        return np.concatenate([dc, linalg.vec(da), linalg.vec(db)])
-
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = 1.0
-        cols.append(column(e, zero_m, zero_m, zero_m))
-    for slot in range(3):
-        for j in range(k):
-            for i in range(k):
-                em = np.zeros((k, k))
-                em[i, j] = 1.0
-                args = [zero_m, zero_m, zero_m]
-                args[slot] = em
-                cols.append(column(zero_v, *args))
-    return np.column_stack(cols)
+    basis = np.eye(k + 3 * k * k)
+    dm = linalg.unvec(basis[:, k:].reshape(-1, 3, k * k), k, k)
+    dc, da, db = jacobian_action(js, basis[:, :k], dm[:, 0], dm[:, 1], dm[:, 2], tol=tol)
+    return np.concatenate([dc, linalg.vec(da), linalg.vec(db)], axis=1).T
 
 
 def param_names(d):

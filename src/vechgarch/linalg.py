@@ -55,8 +55,6 @@ class ToleranceConfig:
     ----------
     symmetry : float
         Relative asymmetry allowed when half-vectorising a matrix.
-    eig_residual : float
-        Relative residual ``||A v - lambda v||`` allowed per eigenpair.
     lyapunov_rho : float
         The Lyapunov solver requires ``rho(B) < 1 - lyapunov_rho``.
     rcond : float
@@ -77,7 +75,6 @@ class ToleranceConfig:
     """
 
     symmetry: float = 1e-12
-    eig_residual: float = 1e-10
     lyapunov_rho: float = 1e-10
     rcond: float = 1e-13
     unimodular: float = 1e-8
@@ -97,12 +94,19 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _as_matrix(m, name="matrix"):
+def _as_stack(m, name="matrix"):
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"{name} must be two-dimensional, got shape {a.shape}")
+    if a.ndim < 2:
+        raise InvalidInput(f"{name} must be at least two-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains non-finite entries")
+    return a
+
+
+def _as_matrix(m, name="matrix"):
+    a = _as_stack(m, name)
+    if a.ndim != 2:
+        raise InvalidInput(f"{name} must be two-dimensional, got shape {a.shape}")
     return a
 
 
@@ -164,25 +168,36 @@ def unvech(v):
 
 
 def vec(m):
-    """Stack the columns of a matrix into one vector."""
-    return np.asarray(m).reshape(-1, order="F")
+    """Stack the columns of a matrix into one vector; a stack ``(..., r, c)``
+    of matrices gives a stack ``(..., r c)`` of vectors."""
+    a = np.asarray(m)
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def unvec(v, n_rows, n_cols):
-    """Inverse of :func:`vec` for an ``n_rows x n_cols`` matrix."""
-    return np.asarray(v).reshape((n_rows, n_cols), order="F")
+    """Inverse of :func:`vec` for ``n_rows x n_cols`` matrices."""
+    a = np.asarray(v)
+    return a.reshape(a.shape[:-1] + (n_cols, n_rows)).swapaxes(-1, -2)
 
 
 def sym(m):
-    """Symmetric part ``(M + M') / 2``."""
+    """Symmetric part ``(M + M') / 2``, of each matrix of a stack."""
     a = np.asarray(m)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def asymmetry(m):
-    """Relative Frobenius asymmetry ``||M - M'|| / (1 + ||M||)``."""
+    """Relative Frobenius asymmetry ``||M - M'|| / (1 + ||M||)``.
+
+    A float for one matrix; an array with one value per matrix for a stack
+    ``(..., n, n)``.
+    """
     a = np.asarray(m, dtype=float)
-    return float(np.linalg.norm(a - a.T) / (1.0 + np.linalg.norm(a)))
+    if a.ndim == 2:
+        return float(np.linalg.norm(a - a.T) / (1.0 + np.linalg.norm(a)))
+    axes = (-2, -1)
+    gap = np.linalg.norm(a - a.swapaxes(-1, -2), axis=axes)
+    return gap / (1.0 + np.linalg.norm(a, axis=axes))
 
 
 def eig(m):
@@ -214,11 +229,16 @@ def dlyap(b, q, tol=DEFAULT_TOL):
     at the matrix sizes this package works with.  Requires
     ``rho(B) < 1 - tol.lyapunov_rho`` so the operator is invertible with a
     margin.  A symmetric ``Q`` yields a symmetrised ``X``.
+
+    ``Q`` may be a stack ``(..., n, n)`` of right-hand sides; the result is
+    the matching stack of solutions.  The spectral-radius check runs once,
+    the operator is solved once against every ``vec(Q)`` as a column, and
+    each solution is symmetrised when its own ``Q`` is symmetric.
     """
     bm = _as_square(b, "B")
-    qm = _as_square(q, "Q")
-    if bm.shape != qm.shape:
-        raise InvalidInput(f"B and Q must have equal shapes, got {bm.shape} and {qm.shape}")
+    qm = _as_stack(q, "Q")
+    if qm.shape[-2:] != bm.shape:
+        raise InvalidInput(f"Q must be {bm.shape} like B, got shape {qm.shape}")
     rho = spectral_radius(bm)
     if rho >= 1.0 - tol.lyapunov_rho:
         raise SingularLyapunov(
@@ -227,10 +247,10 @@ def dlyap(b, q, tol=DEFAULT_TOL):
         )
     n = bm.shape[0]
     op = np.eye(n * n) - np.kron(bm, bm)
-    x = unvec(np.linalg.solve(op, vec(qm)), n, n)
-    if asymmetry(qm) <= tol.symmetry:
-        x = sym(x)
-    return x
+    rhs = vec(qm)
+    x = unvec(np.linalg.solve(op, rhs.reshape(-1, n * n).T).T.reshape(rhs.shape), n, n)
+    symmetric = asymmetry(qm) <= tol.symmetry
+    return np.where(np.expand_dims(symmetric, (-2, -1)), sym(x), x)
 
 
 def cholesky(m, tol=DEFAULT_TOL):
@@ -265,11 +285,19 @@ def solve(a, b, tol=DEFAULT_TOL, name="matrix"):
 
 
 def rsolve(b, a, tol=DEFAULT_TOL, name="matrix"):
-    """Solve ``X A = B`` for square ``A`` (right division ``B A^{-1}``)."""
+    """Solve ``X A = B`` for square ``A`` (right division ``B A^{-1}``).
+
+    ``B`` may be a stack ``(..., p, n)``: ``A`` is checked once and every
+    row of every slice is solved in one call.
+    """
     am = _as_square(a, name)
     bm = np.asarray(b, dtype=float)
+    if bm.shape[-1:] != am.shape[:1]:
+        raise InvalidInput(f"right-hand side of shape {bm.shape} does not match {name} "
+                           f"of shape {am.shape}")
     _check_invertible(am, name, tol)
-    return np.linalg.solve(am.T, bm.T).T
+    rows = bm.reshape(-1, am.shape[0])
+    return np.linalg.solve(am.T, rows.T).T.reshape(bm.shape)
 
 
 def lstsq(a, b, tol=DEFAULT_TOL):

@@ -75,10 +75,7 @@ def sample_moments(x):
     if n < 4:
         raise InsufficientData(f"need at least 4 observations, got {n}")
     mean = a.mean(axis=0)
-    z = a - mean
-    m0 = z.T @ z / n
-    m1 = z[1:].T @ z[:-1] / (n - 1)
-    m2 = z[2:].T @ z[:-2] / (n - 2)
+    m0, m1, m2 = _autocovariances(a - mean, 2)
     return MomentSet(mean=mean, m0=m0, m1=m1, m2=m2)
 
 
@@ -90,10 +87,25 @@ def sample_autocovariances(x, max_lag):
         raise InvalidInput(f"max_lag must be >= 0, got {max_lag}")
     if n < max_lag + 2:
         raise InsufficientData(f"need at least {max_lag + 2} observations, got {n}")
-    z = a - a.mean(axis=0)
-    out = [z.T @ z / n]
-    for k in range(1, max_lag + 1):
-        out.append(z[k:].T @ z[:-k] / (n - k))
+    return _autocovariances(a - a.mean(axis=0), max_lag)
+
+
+def _autocovariances(z, max_lag):
+    """``[m0, ..., m_max_lag]`` of the centred sample ``z``.
+
+    A single column goes through an elementwise multiply-and-sum: as a
+    matrix product it is a BLAS dot, whose thread start-up alone costs
+    milliseconds at these lengths.
+    """
+    n = z.shape[0]
+    out = []
+    for k in range(max_lag + 1):
+        lead, lag = z[k:], z[: n - k]
+        if z.shape[1] == 1:
+            product = np.multiply(lead, lag).sum(axis=0, keepdims=True)
+        else:
+            product = lead.T @ lag
+        out.append(product / (n - k))
     return out
 
 
@@ -129,6 +141,18 @@ def _clip_psd(m):
 def hac_psi(x, bandwidth=None):
     """Bartlett-kernel HAC estimate of the long-run covariance of ``g_t``.
 
+    With ``w = bandwidth + 1`` and ``Gamma_l = (1/n_g) sum_t g_{t+l} g_t'``
+    the Bartlett (Newey-West) sum
+
+        Psi = sum_{|l| < w} (1 - |l| / w) Gamma_l
+
+    is computed as a box filter: every moving sum ``s_j`` of ``w``
+    consecutive centred ``g_t`` (the series zero-padded at both ends, so
+    ``n_g + w - 1`` windows) holds a lag-``l`` pair in ``w - l`` windows, so
+    ``Psi = sum_j s_j s_j' / (n_g w)`` exactly.  The moving sums are
+    differences of one cumulative sum and the whole estimate is one
+    matrix product.
+
     Parameters
     ----------
     x : ndarray
@@ -153,14 +177,17 @@ def hac_psi(x, bandwidth=None):
             f"{bandwidth}, got {n}"
         )
     g = _stacked_process(a)
-    g = g - g.mean(axis=0)
-    n_g = g.shape[0]
-    psi = g.T @ g / n_g
-    for lag in range(1, bandwidth + 1):
-        w = 1.0 - lag / (bandwidth + 1.0)
-        cov = g[lag:].T @ g[:-lag] / n_g
-        psi += w * (cov + cov.T)
-    psi, clipped = _clip_psd(psi)
+    g -= g.mean(axis=0)
+    n_g, p = g.shape
+    w = bandwidth + 1
+    # Zero-padded copy of g' with g_t in column w + t, then running sums.
+    buf = np.zeros((p, n_g + 2 * w - 1))
+    buf[:, w : w + n_g] = g.T
+    del g
+    np.cumsum(buf, axis=1, out=buf)
+    box = buf[:, w:] - buf[:, :-w]
+    del buf
+    psi, clipped = _clip_psd(box @ box.T / (n_g * w))
     return PsiEstimate(psi=psi, bandwidth=int(bandwidth), method="hac-bartlett", clipped=clipped)
 
 

@@ -112,6 +112,35 @@ def test_jacobian_action_is_linear(ref_spec_d2):
         assert_allclose(left, u + v, atol=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_jacobian_matrix_columns_are_single_directions(d):
+    rng = np.random.Generator(np.random.Philox(110 + d))
+    spec = vg.random_spec(d, rng)
+    _, js = population_state(spec, vg.random_sigma(spec.dbar, rng))
+    k = js.dbar
+    jac = jacobian_matrix(js)
+    assert jac.shape == (k + 2 * k * k, k + 3 * k * k)
+    for i, e in enumerate(np.eye(k + 3 * k * k)):
+        dm = [linalg.unvec(e[k + s * k * k : k + (s + 1) * k * k], k, k) for s in range(3)]
+        dc, da, db = jacobian_action(js, e[:k], *dm)
+        assert dc.shape == (k,) and da.shape == db.shape == (k, k)
+        column = np.concatenate([dc, linalg.vec(da), linalg.vec(db)])
+        assert_allclose(jac[:, i], column, rtol=0, atol=1e-12 * np.abs(jac).max())
+
+
+def test_jacobian_action_batches_directions(ref_spec_d2):
+    rng = np.random.Generator(np.random.Philox(105))
+    _, js = population_state(ref_spec_d2, vg.random_sigma(3, rng))
+    dirs = [rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3, 3)),
+            rng.normal(size=(2, 4, 3, 3)), rng.normal(size=(2, 4, 3, 3))]
+    batched = jacobian_action(js, *dirs)
+    assert [a.shape for a in batched] == [(2, 4, 3), (2, 4, 3, 3), (2, 4, 3, 3)]
+    for idx in np.ndindex(2, 4):
+        single = jacobian_action(js, *(a[idx] for a in dirs))
+        for many, one in zip(batched, single):
+            assert_allclose(many[idx], one, rtol=0, atol=1e-12 * (1.0 + np.abs(one).max()))
+
+
 def test_param_names_order():
     assert param_names(1) == ["c[0]", "A[0][0]", "B[0][0]"]
     names = param_names(2)

@@ -14,6 +14,10 @@ from vechgarch.simulate import read_returns_csv
 FIXTURES = Path(__file__).parent / "data"
 
 SCALAR_SPEC = {"d": 1, "c": [0.3], "A": [[0.1]], "B": [[0.6]]}
+# A = 0.15 I, B = 0.45 I with unit variances and correlation 0.25.
+REFERENCE_SPEC_D2 = {"d": 2, "c": [0.4, 0.1, 0.4],
+                     "A": [[0.15, 0, 0], [0, 0.15, 0], [0, 0, 0.15]],
+                     "B": [[0.45, 0, 0], [0, 0.45, 0], [0, 0, 0.45]]}
 
 
 @pytest.fixture
@@ -91,27 +95,49 @@ def test_estimate_with_standard_errors(tmp_path, spec_file, capsys):
     assert all(v > 0 for v in se.values())
 
 
+def count_calls(monkeypatch, owner, names):
+    """Count calls of ``owner.<name>`` for each name, whichever vechgarch
+    module namespace the call goes through."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("vechgarch")]
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 def test_estimate_with_se_solves_once(tmp_path, spec_file, monkeypatch):
     import vechgarch.solver as solver
 
     data = tmp_path / "y.csv"
     assert run_cli("simulate", "--params", spec_file, "--out", data,
                    "--n", 5000, "--seed", 13) == 0
-    calls = {"solve_b": 0, "sample_moments": 0}
-    modules = [m for name, m in sys.modules.items() if name.startswith("vechgarch")]
-    for name in calls:
-        original = getattr(solver, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        # Count the function, whichever module namespace it is called from.
-        for module in modules:
-            for attr in [a for a, v in vars(module).items() if v is original]:
-                monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, solver, ["solve_b", "sample_moments"])
     assert main(["estimate", "--data", str(data), "--with-se"]) == 0
     assert calls == {"solve_b": 1, "sample_moments": 1}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_estimate_with_se_runs_one_lyapunov_solve(tmp_path, monkeypatch, d):
+    # The Jacobian solves the Lyapunov step for all dbar + 3 dbar^2 moment
+    # directions at once, not once per direction.
+    import vechgarch.linalg as linalg
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SCALAR_SPEC if d == 1 else REFERENCE_SPEC_D2))
+    data = tmp_path / "y.csv"
+    assert run_cli("simulate", "--params", spec, "--out", data,
+                   "--n", 5000, "--seed", 13) == 0
+    calls = count_calls(monkeypatch, linalg, ["dlyap"])
+    assert main(["estimate", "--data", str(data), "--with-se"]) == 0
+    assert calls == {"dlyap": 1}
 
 
 def test_estimate_with_se_refuses_pooled_lags(tmp_path, spec_file, capsys):

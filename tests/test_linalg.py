@@ -108,6 +108,46 @@ class TestDlyap:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             linalg.dlyap(np.eye(2), np.eye(3))
+        with pytest.raises(InvalidInput):
+            linalg.dlyap(np.eye(2), np.zeros((4, 3, 3)))
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+    def test_stack_matches_per_slice_solves(self, rng, lead):
+        n = 3
+        b = rng.normal(size=(n, n))
+        b *= 0.9 / linalg.spectral_radius(b)
+        q = rng.normal(size=lead + (n, n))
+        # Every other slice symmetric: only those get symmetrised.
+        flat = q.reshape(-1, n, n)
+        flat[::2] = linalg.sym(flat[::2])
+        x = linalg.dlyap(b, q)
+        assert x.shape == q.shape
+        for got, rhs in zip(x.reshape(-1, n, n), flat):
+            want = linalg.dlyap(b, rhs)
+            assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            assert (linalg.asymmetry(got) == 0.0) == (linalg.asymmetry(rhs) == 0.0)
+
+    def test_stack_refused_like_one_matrix(self):
+        b = np.array([[0.0, -1.2], [1.2, 0.0]])
+        with pytest.raises(SingularLyapunov):
+            linalg.dlyap(b, np.stack([np.eye(2)] * 3))
+        with pytest.raises(SingularLyapunov):
+            linalg.dlyap(np.array([[1.0]]), np.ones((4, 1, 1)))
+
+
+def test_stacked_vec_unvec_sym(rng):
+    m = rng.normal(size=(4, 2, 3))
+    v = linalg.vec(m)
+    assert v.shape == (4, 6)
+    for got, one in zip(v, m):
+        assert_allclose(got, linalg.vec(one))
+    assert_allclose(linalg.unvec(v, 2, 3), m)
+    s = rng.normal(size=(3, 4, 4))
+    for got, one in zip(linalg.sym(s), s):
+        assert_allclose(got, linalg.sym(one))
+    gaps = linalg.asymmetry(s)
+    assert gaps.shape == (3,)
+    assert_allclose(gaps, [linalg.asymmetry(one) for one in s], rtol=1e-14)
 
 
 def test_cholesky_factor(rng):
@@ -147,8 +187,22 @@ def test_lstsq_wide_design(rng):
     assert_allclose((x @ a - b) @ a.T, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)])
+def test_rsolve_stack_matches_per_slice_solves(rng, lead):
+    a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
+    b = rng.normal(size=lead + (3, 4))
+    x = linalg.rsolve(b, a)
+    assert x.shape == b.shape
+    for got, rhs in zip(x.reshape(-1, 3, 4), b.reshape(-1, 3, 4)):
+        assert_allclose(got, linalg.rsolve(rhs, a), rtol=0, atol=1e-13)
+
+
 def test_singular_inputs_raise():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SingularMatrix):
+        linalg.rsolve(np.ones((5, 2, 2)), singular)
+    with pytest.raises(InvalidInput):
+        linalg.rsolve(np.ones((3, 4)), np.eye(2))
     with pytest.raises(SingularMatrix):
         linalg.solve(singular, np.eye(2))
     with pytest.raises(SingularMatrix):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,8 @@ import vechgarch as vg
 from vechgarch import linalg
 from vechgarch.exceptions import InsufficientData, InvalidInput
 from vechgarch.moments import (
+    _clip_psd,
+    _stacked_process,
     default_bandwidth,
     hac_psi,
     sample_autocovariances,
@@ -25,6 +29,18 @@ def test_sample_moments_by_hand():
     assert_allclose(ms.m0, [[1.25]])
     assert_allclose(ms.m1, [[1.25 / 3.0]])
     assert_allclose(ms.m2, [[-0.75]])
+
+
+def test_single_column_moments_match_a_wider_sample(rng):
+    # One column takes the multiply-and-sum path, two columns the matrix
+    # product; the shared column's moments agree to rounding.
+    x = np.abs(rng.normal(size=(20_000, 2))) + 0.1
+    one, two = sample_moments(x[:, :1]), sample_moments(x)
+    for lone, pair in zip((one.m0, one.m1, one.m2), (two.m0, two.m1, two.m2)):
+        assert lone.shape == (1, 1)
+        assert_allclose(lone[0, 0], pair[0, 0], rtol=1e-13)
+    assert_allclose(sample_autocovariances(x[:, :1], 4)[4][0, 0],
+                    sample_autocovariances(x, 4)[4][0, 0], rtol=1e-13)
 
 
 def test_sample_moments_needs_four_observations():
@@ -74,11 +90,50 @@ def test_default_bandwidth_values():
     assert default_bandwidth(100_000) == 18
 
 
+def bartlett_lag_sum(x, bandwidth):
+    """The Bartlett HAC as a sum over lags, with weights 1 - l / (bw + 1)."""
+    g = _stacked_process(x)
+    g = g - g.mean(axis=0)
+    n_g = g.shape[0]
+    psi = g.T @ g / n_g
+    for lag in range(1, bandwidth + 1):
+        w = 1.0 - lag / (bandwidth + 1.0)
+        cov = g[lag:].T @ g[:-lag] / n_g
+        psi += w * (cov + cov.T)
+    return psi
+
+
+@pytest.mark.parametrize("bandwidth", [0, 1, 5, None])
+@pytest.mark.parametrize("d", [1, 2], ids=["dbar1", "dbar3"])
+def test_hac_psi_matches_the_bartlett_lag_sum(ref_spec_d1, ref_spec_d2, d, bandwidth):
+    spec = ref_spec_d1 if d == 1 else ref_spec_d2
+    x = to_x(simulate(spec, 3_000, seed=29).y)
+    est = hac_psi(x, bandwidth=bandwidth)
+    bw = default_bandwidth(x.shape[0]) if bandwidth is None else bandwidth
+    want, _ = _clip_psd(bartlett_lag_sum(x, bw))
+    assert est.bandwidth == bw
+    assert np.abs(est.psi - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_hac_psi_peak_memory():
+    # The stacked process g (n - 2 rows, p = dbar + 3 dbar^2 columns) is the
+    # big array; the box filter holds it and at most one copy at a time.
+    rng = np.random.default_rng(31)
+    n, dbar = 20_000, 6
+    x = np.abs(rng.normal(size=(n, dbar))) + 0.1
+    g_bytes = (n - 2) * (dbar + 3 * dbar * dbar) * 8
+    tracemalloc.start()
+    try:
+        hac_psi(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g_bytes
+
+
 def test_hac_psi_bandwidth_zero_is_plain_covariance(rng):
     x = np.abs(rng.normal(size=(300, 1))) + 0.1
     est = hac_psi(x, bandwidth=0)
-    from vechgarch.moments import _stacked_process
-
     g = _stacked_process(x)
     g = g - g.mean(axis=0)
     assert_allclose(est.psi, linalg.sym(g.T @ g / g.shape[0]), atol=1e-12)
