@@ -26,7 +26,7 @@ from .exceptions import (
     VechGarchError,
 )
 from .model import GarchSpec
-from .simulate import read_returns_csv, simulate, to_x, write_returns_csv
+from .simulate import _simulate_paths, read_returns_csv, simulate, to_x, write_returns_csv
 from .solver import estimate
 
 __all__ = ["main", "run"]
@@ -130,39 +130,61 @@ def _block_coverage(est_spec, true_spec, se):
     return (float(c_part.mean()), float(a_part.mean()), float(b_part.mean()))
 
 
+# Replications simulated together in one stacked recursion.  At d = 2 the
+# cost per path and step is about 22 us alone, 1.9 us in a stack of 16 and
+# 1.1 us in a stack of 32 (2 cores), while the memory of a block grows with
+# its size: 16 paths at d = 2 and burn-in + n = 33 000 hold about 30 MB.
+_PATH_BLOCK = 16
+
+
 def cmd_montecarlo(args):
     spec = GarchSpec.from_json(_load_json(args.params, "spec"))
     ns = args.n
+    burn_in = args.burn_in
     rows = []
-    for rep in range(args.reps):
-        # One seed per replication, shared across sample sizes: paths for
-        # different n then share their prefix, which stabilises error
-        # ratios across n.
-        rep_seed = args.seed + rep
-        for n in ns:
-            row = {"rep": rep, "n": n, "status": "ok", "err_max": "",
-                   "err_c": "", "err_a": "", "err_b": "",
-                   "cover_c": "", "cover_a": "", "cover_b": ""}
-            try:
-                sim = simulate(spec, n, rep_seed, burn_in=args.burn_in)
-                x = to_x(sim.y)
-                report = estimate(x, phi_method=args.phi_method, lags=args.lags,
-                                  project=args.project_stationary)
-                err_c, err_a, err_b, err_max = _block_errors(report.spec, spec)
-                row.update(err_max=f"{err_max:.10g}", err_c=f"{err_c:.10g}",
-                           err_a=f"{err_a:.10g}", err_b=f"{err_b:.10g}")
-                if args.with_se:
-                    se_rep = asymptotics.standard_errors(report, x,
-                                                         bandwidth=args.bandwidth)
-                    cc, ca, cb = _block_coverage(report.spec, spec,
-                                                 se_rep.std_errors)
-                    row.update(cover_c=f"{cc:.6g}", cover_a=f"{ca:.6g}",
-                               cover_b=f"{cb:.6g}")
-            except VechGarchError as exc:
-                row["status"] = type(exc).__name__
-            rows.append(row)
+    for first in range(0, args.reps, _PATH_BLOCK):
+        reps = range(first, min(first + _PATH_BLOCK, args.reps))
+        # One seed per replication, shared across sample sizes: each path is
+        # simulated once at the largest n and every n reads its prefix
+        # (bitwise the path simulate(spec, n, seed) returns), which
+        # stabilises error ratios across n.
+        try:
+            y, h_path, fail = _simulate_paths(spec, max(ns), [args.seed + rep for rep in reps],
+                                              burn_in=burn_in)
+            del h_path  # free it before the fits
+            refused = None
+        except VechGarchError as exc:
+            refused = type(exc).__name__
+        for r, rep in enumerate(reps):
+            for n in ns:
+                row = {"rep": rep, "n": n, "status": "ok", "err_max": "",
+                       "err_c": "", "err_a": "", "err_b": "",
+                       "cover_c": "", "cover_a": "", "cover_b": ""}
+                if refused is not None:
+                    row["status"] = refused
+                elif fail[r] < burn_in + n:
+                    row["status"] = PositivityViolation.__name__
+                else:
+                    try:
+                        _fit_row(row, spec, y[burn_in : burn_in + n, r], args)
+                    except VechGarchError as exc:
+                        row["status"] = type(exc).__name__
+                rows.append(row)
     _write_montecarlo(rows, ns, args)
     return 0
+
+
+def _fit_row(row, spec, y, args):
+    x = to_x(y)
+    report = estimate(x, phi_method=args.phi_method, lags=args.lags,
+                      project=args.project_stationary)
+    err_c, err_a, err_b, err_max = _block_errors(report.spec, spec)
+    row.update(err_max=f"{err_max:.10g}", err_c=f"{err_c:.10g}",
+               err_a=f"{err_a:.10g}", err_b=f"{err_b:.10g}")
+    if args.with_se:
+        se_rep = asymptotics.standard_errors(report, x, bandwidth=args.bandwidth)
+        cc, ca, cb = _block_coverage(report.spec, spec, se_rep.std_errors)
+        row.update(cover_c=f"{cc:.6g}", cover_a=f"{ca:.6g}", cover_b=f"{cb:.6g}")
 
 
 def _write_montecarlo(rows, ns, args):

@@ -121,13 +121,15 @@ def _stacked_process(x):
     if n < 4:
         raise InsufficientData(f"need at least 4 observations, got {n}")
     z = a - a.mean(axis=0)
-    blocks = [a[: n - 2]]
+    g = np.empty((n - 2, k + 3 * k * k))
+    g[:, :k] = a[: n - 2]
+    # Lag-l block, row t: vec(z_{t+l} z_t'), whose entry j k + i is
+    # z_{t+l,i} z_{t,j}.  Split the block's columns into (lag, j, i) and
+    # write each product in place.
+    lagged = g[:, k:].reshape(n - 2, 3, k, k)
     for lag in range(3):
-        outer = z[lag : n - 2 + lag, :, None] * z[: n - 2, None, :]
-        # vec stacks columns, so transpose the trailing axes before the
-        # row-major reshape.
-        blocks.append(outer.transpose(0, 2, 1).reshape(n - 2, k * k))
-    return np.hstack(blocks)
+        np.multiply(z[: n - 2, :, None], z[lag : n - 2 + lag, None, :], out=lagged[:, lag])
+    return g
 
 
 def _clip_psd(m):
@@ -176,12 +178,15 @@ def hac_psi(x, bandwidth=None):
             f"need more than {10 * max(bandwidth, 1)} observations for bandwidth "
             f"{bandwidth}, got {n}"
         )
+    k = a.shape[1]
+    n_g, p, w = n - 2, k + 3 * k * k, bandwidth + 1
+    # Zero-padded copy of g' with g_t in column w + t, then running sums.
+    # The buffer is allocated before g: once g is freed, box can reuse its
+    # space on the heap, and the resident peak stays at about two g-sized
+    # arrays instead of three.
+    buf = np.zeros((p, n_g + 2 * w - 1))
     g = _stacked_process(a)
     g -= g.mean(axis=0)
-    n_g, p = g.shape
-    w = bandwidth + 1
-    # Zero-padded copy of g' with g_t in column w + t, then running sums.
-    buf = np.zeros((p, n_g + 2 * w - 1))
     buf[:, w : w + n_g] = g.T
     del g
     np.cumsum(buf, axis=1, out=buf)

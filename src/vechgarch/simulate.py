@@ -5,7 +5,14 @@ bit generator, whose stream is documented and stable across numpy
 releases, so a given seed reproduces the same path everywhere.  The noise
 block is drawn up front as ``standard_normal((burn_in + n, d))`` and
 consumed row by row; that draw order is part of the reproducibility
-contract.
+contract.  So is its consequence, the prefix property: for ``n1 <= n2``,
+``simulate(spec, n2, seed).y[:n1]`` equals ``simulate(spec, n1, seed).y``
+bitwise, and so does ``h_path``.  The ``montecarlo`` command relies on it
+to simulate each replication once, at the largest sample size.
+
+At d >= 2 the recursion runs a stack of paths together, one batched
+Cholesky factorisation and a few batched products per step; every path is
+computed with the same per-path arithmetic as a path run alone.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import InvalidInput, NonStationary, PositivityViolation
+from .exceptions import InvalidInput, PositivityViolation
 from .linalg import DEFAULT_TOL
 
 __all__ = ["SimulationResult", "simulate", "to_x", "write_returns_csv", "read_returns_csv"]
@@ -62,71 +69,170 @@ def simulate(spec, n, seed, burn_in=1000, tol=DEFAULT_TOL):
         If some conditional covariance fails to be positive definite; the
         exception carries the zero-based recursion step (burn-in included).
     """
+    y, h_path, fail = _simulate_paths(spec, n, [seed], burn_in=burn_in, tol=tol)
+    step = int(fail[0])
+    if step < burn_in + n:
+        if spec.d == 1:
+            what = f"conditional variance {h_path[step, 0, 0]:.6g} is not positive"
+        else:
+            what = "conditional covariance is not positive definite"
+        raise PositivityViolation(f"{what} at step {step}", step=step)
+    return SimulationResult(y=y[burn_in:, 0], h_path=h_path[burn_in:, 0], seed=seed,
+                            burn_in=burn_in)
+
+
+def _simulate_paths(spec, n, seeds, burn_in, tol=DEFAULT_TOL):
+    """Run :func:`simulate` for several seeds through one stacked recursion.
+
+    Each seed draws its own noise block exactly as ``simulate`` does, so
+    path ``r`` equals ``simulate(spec, n, seeds[r], burn_in)`` bitwise
+    wherever that call returns.  Returns ``y`` of shape
+    ``(burn_in + n, R, d)`` and ``h_path`` of shape ``(burn_in + n, R, dbar)``,
+    burn-in included, and ``fail``: for each path the step at which its
+    conditional covariance first failed to be positive definite, or
+    ``burn_in + n``.  A failed path's rows from ``fail`` on are undefined,
+    except ``h_path[fail]``, which holds the covariance that failed.
+    """
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
     if burn_in < 0:
         raise InvalidInput(f"burn_in must be >= 0, got {burn_in}")
-    rho = linalg.spectral_radius(spec.phi)
-    if rho >= 1.0:
-        raise NonStationary(f"spectral radius of A + B is {rho:.6g} >= 1")
     from .model import uncond_h  # local import to avoid a cycle at import time
 
     h0 = uncond_h(spec, tol=tol)
     total = burn_in + n
-    rng = np.random.Generator(np.random.Philox(seed))
-    eps = rng.standard_normal((total, spec.d))
+    eps = np.empty((total, len(seeds), spec.d))
+    for r, seed in enumerate(seeds):
+        eps[:, r] = np.random.Generator(np.random.Philox(seed)).standard_normal((total, spec.d))
     if spec.d == 1:
-        y, h_path = _recursion_scalar(spec, h0, eps)
-    else:
-        y, h_path = _recursion(spec, h0, eps)
-    return SimulationResult(y=y[burn_in:], h_path=h_path[burn_in:], seed=seed, burn_in=burn_in)
+        return _recursion_scalar(spec, h0, eps)
+    return _recursion(spec, h0, eps)
 
 
 def _recursion_scalar(spec, h0, eps):
-    # Plain-float loop: identical arithmetic to the generic path but far
-    # cheaper, which matters for Monte Carlo runs with n ~ 1e5.
+    # Plain-float loop, one path at a time: identical arithmetic to the
+    # generic path but far cheaper, which matters for Monte Carlo runs with
+    # n ~ 1e5.
     c = float(spec.c[0])
     a = float(spec.A[0, 0])
     b = float(spec.B[0, 0])
-    h = float(h0[0])
-    ys = []
-    hs = []
-    for t, e in enumerate(eps[:, 0].tolist()):
-        if not h > 0.0:
-            raise PositivityViolation(
-                f"conditional variance {h:.6g} is not positive at step {t}", step=t
-            )
-        yv = math.sqrt(h) * e
-        ys.append(yv)
-        hs.append(h)
-        h = c + a * (yv * yv) + b * h
-    return np.asarray(ys).reshape(-1, 1), np.asarray(hs).reshape(-1, 1)
+    total, paths, _ = eps.shape
+    y = np.empty((total, paths, 1))
+    h_path = np.empty((total, paths, 1))
+    fail = np.full(paths, total)
+    for r in range(paths):
+        h = float(h0[0])
+        ys = []
+        hs = []
+        for t, e in enumerate(eps[:, r, 0].tolist()):
+            hs.append(h)
+            if not h > 0.0:
+                fail[r] = t
+                break
+            yv = math.sqrt(h) * e
+            ys.append(yv)
+            h = c + a * (yv * yv) + b * h
+        y[: len(ys), r, 0] = ys
+        h_path[: len(hs), r, 0] = hs
+    return y, h_path, fail
 
 
 def _recursion(spec, h0, eps):
-    d = spec.d
+    # Runs the paths of eps, shape (total, R, d), together.  A path whose
+    # covariance fails at step t leaves the stack there; the rest go on from
+    # t, compacted into fresh buffers.
+    total, paths, _ = eps.shape
+    y = np.empty_like(eps)
+    # Row t + 1 receives h_{t+1} from step t, so one spare row at the end.
+    h_path = np.empty((total + 1, paths, h0.shape[0]))
+    h_path[0] = h0
+    fail = np.full(paths, total)
+    live = np.arange(paths)
+    t = 0
+    while live.size:
+        if live.size == paths:
+            t += _steps(spec, eps[t:], y[t:], h_path[t:])
+        else:
+            part_y = np.empty((total - t, live.size, spec.d))
+            part_h = h_path[t:, live]
+            done = _steps(spec, eps[t:, live], part_y, part_h)
+            y[t : t + done, live] = part_y[:done]
+            h_path[t : t + done + 1, live] = part_h[: done + 1]
+            t += done
+        if t == total:
+            break
+        # The stacked Cholesky call failed at step t: find the paths it
+        # failed for, one by one.
+        pos = _vech_positions(spec.d)
+        bad = np.array([not _positive_definite(h_path[t, r][pos]) for r in live])
+        fail[live[bad]] = t
+        live = live[~bad]
+    return y, h_path[:total], fail
+
+
+def _positive_definite(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _vech_positions(d):
+    """``(d, d)`` array giving the vech position of each entry of a symmetric matrix."""
     rows, cols = linalg.vech_indices(d)
-    c, a, b = spec.c, spec.A, spec.B
-    h = h0.copy()
-    total = eps.shape[0]
-    y = np.empty((total, d))
-    h_path = np.empty((total, h0.shape[0]))
-    hfull = np.empty((d, d))
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    return pos
+
+
+def _steps(spec, eps, y, h_path):
+    """Run the recursion from the states ``h_path[0]`` until a Cholesky fails.
+
+    ``eps`` and ``y`` have shape ``(T, R, d)`` and ``h_path`` ``(T + 1, R, dbar)``;
+    step ``t`` reads ``h_path[t]`` and writes ``y[t]`` and ``h_path[t + 1]``.
+    Returns the number of steps completed: ``T``, or the step at which the
+    stacked Cholesky factorisation raised.
+    """
+    total, paths, d = eps.shape
+    k = h_path.shape[2]
+    rows, cols = linalg.vech_indices(d)
+    # Flat indices into one step's (R, dbar) states and (R, d) returns, so
+    # each gather is a single take into a preallocated buffer.
+    path = np.arange(paths)[:, None]
+    fill = path[:, :, None] * k + _vech_positions(d)
+    pick_rows = (path * d + rows)[..., None]
+    pick_cols = (path * d + cols)[..., None]
+    c = np.tile(spec.c[:, None], (paths, 1, 1))
+    a, b = spec.A, spec.B
+    hfull = np.empty((paths, d, d))
+    x = np.empty((paths, k, 1))
+    x_cols = np.empty((paths, k, 1))
+    ax = np.empty((paths, k, 1))
+    bh = np.empty((paths, k, 1))
+    eps_col = eps[..., None]
+    y_col = y[..., None]
+    h_col = h_path[..., None]
+    cholesky, matmul, multiply, add = np.linalg.cholesky, np.matmul, np.multiply, np.add
     for t in range(total):
-        hfull[rows, cols] = h
-        hfull[cols, rows] = h
+        h = h_col[t]
+        h.take(fill, None, hfull, "clip")
         try:
-            chol = np.linalg.cholesky(hfull)
+            chol = cholesky(hfull)
         except np.linalg.LinAlgError:
-            raise PositivityViolation(
-                f"conditional covariance is not positive definite at step {t}", step=t
-            ) from None
-        yt = chol @ eps[t]
-        y[t] = yt
-        h_path[t] = h
-        x = yt[rows] * yt[cols]
-        h = c + a @ x + b @ h
-    return y, h_path
+            return t
+        yt = y_col[t]
+        matmul(chol, eps_col[t], yt)
+        # x_t = vech(y_t y_t'), then h_{t+1} = c + A x_t + B h_t.
+        yt.take(pick_rows, None, x, "clip")
+        yt.take(pick_cols, None, x_cols, "clip")
+        multiply(x, x_cols, x)
+        matmul(a, x, ax)
+        matmul(b, h, bh)
+        h_next = h_col[t + 1]
+        add(c, ax, h_next)
+        add(h_next, bh, h_next)
+    return total
 
 
 def to_x(y):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vechgarch as vg
+from vechgarch import cli
 from vechgarch.cli import main
 from vechgarch.simulate import read_returns_csv
 
@@ -294,6 +295,99 @@ def test_montecarlo_with_se_keeps_refused_se_rows_in_the_median(tmp_path, spec_f
     assert_allclose(float(fields["median_err_max"]),
                     np.median([float(row[3]) for row in rows]), rtol=1e-9)
     assert "cover_c" not in fields
+
+
+def serial_montecarlo(spec, reps, ns, seed, burn_in, with_se):
+    """The montecarlo CSV rebuilt with one simulate and one fit per (rep, n)."""
+    def errors(est):
+        parts = [np.abs(est.c - spec.c).max(), np.abs(est.A - spec.A).max(),
+                 np.abs(est.B - spec.B).max()]
+        return [float(max(parts))] + [float(p) for p in parts]
+
+    def stacked(s):
+        return np.concatenate([s.c, s.A.reshape(-1, order="F"), s.B.reshape(-1, order="F")])
+
+    k = spec.dbar
+    rows = []
+    for rep in range(reps):
+        for n in ns:
+            row = {"rep": rep, "n": n, "status": "ok", "err": [], "cover": []}
+            try:
+                x = vg.to_x(vg.simulate(spec, n, seed + rep, burn_in=burn_in).y)
+                report = vg.estimate(x)
+                row["err"] = errors(report.spec)
+                if with_se:
+                    se = vg.standard_errors(report, x).std_errors
+                    inside = np.abs(stacked(report.spec) - stacked(spec)) <= 1.96 * se
+                    row["cover"] = [float(inside[:k].mean()), float(inside[k : k + k * k].mean()),
+                                    float(inside[k + k * k :].mean())]
+            except vg.VechGarchError as exc:
+                row["status"] = type(exc).__name__
+            rows.append(row)
+    lines = ["rep,n,status,err_max,err_c,err_a,err_b,cover_c,cover_a,cover_b"]
+    for row in rows:
+        # Summaries are computed from the printed digits, as a reader of
+        # the CSV would.
+        row["err"] = [f"{v:.10g}" for v in row["err"]]
+        row["cover"] = [f"{v:.6g}" for v in row["cover"]]
+        lines.append(",".join([str(row["rep"]), str(row["n"]), row["status"]]
+                              + (row["err"] or [""] * 4) + (row["cover"] or [""] * 3)))
+    for n in ns:
+        done = [r for r in rows if r["n"] == n]
+        fitted = [r for r in done if r["err"]]
+        ok = [r for r in fitted if r["status"] == "ok"]
+        line = f"# summary n={n} reps={len(done)} failures={len(done) - len(fitted)}"
+        if with_se:
+            line += f" se_refused={len(fitted) - len(ok)}"
+        if fitted:
+            line += f" median_err_max={np.median([float(r['err'][0]) for r in fitted]):.10g}"
+        if with_se and ok:
+            for i, key in enumerate(("cover_c", "cover_a", "cover_b")):
+                line += f" {key}={np.mean([float(r['cover'][i]) for r in ok]):.6g}"
+        lines.append(line)
+    return "\r\n".join(lines[: 1 + len(rows)]) + "\r\n" + "\n".join(lines[1 + len(rows) :]) + "\n"
+
+
+@pytest.mark.parametrize("block", [2, None], ids=["block2", "default_block"])
+@pytest.mark.parametrize("with_se", [False, True], ids=["plain", "with_se"])
+@pytest.mark.parametrize("which", ["d1", "d2", "d2_positivity"])
+def test_montecarlo_matches_a_serial_reference(which, with_se, block, tmp_path, capsys,
+                                               monkeypatch, positivity_spec_d2):
+    # montecarlo simulates each replication once at the largest n, several
+    # replications in one stacked recursion; its output must still be the
+    # one that per-(rep, n) simulate calls give, however the replications
+    # are split into blocks.
+    if block is not None:
+        monkeypatch.setattr(cli, "_PATH_BLOCK", block)
+    spec = {"d1": vg.GarchSpec.from_json(SCALAR_SPEC),
+            "d2": vg.GarchSpec.from_json(REFERENCE_SPEC_D2),
+            "d2_positivity": positivity_spec_d2}[which]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json()))
+    seed, burn_in = 31, 200
+    expected = serial_montecarlo(spec, 3, [400, 900], seed, burn_in, with_se)
+    code = run_cli("montecarlo", "--params", path, "--reps", 3, "--n", "400,900",
+                   "--seed", seed, "--burn-in", burn_in, *(["--with-se"] if with_se else []))
+    assert code == 0
+    assert capsys.readouterr().out == expected
+    if which == "d2_positivity":
+        # Replication 1 fails between burn-in + 400 and burn-in + 900 while
+        # replications 0 and 2, in the same block, run to the end.
+        statuses = [line.split(",")[2] for line in expected.splitlines()[1:7]]
+        assert statuses[2:4] == ["ok", "PositivityViolation"]
+        assert "PositivityViolation" not in statuses[:2] + statuses[4:]
+
+
+def test_montecarlo_nonstationary_spec_fails_every_row(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"d": 2, "c": [0.1, 0.0, 0.1],
+                                "A": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]],
+                                "B": [[0.6, 0, 0], [0, 0.6, 0], [0, 0, 0.6]]}))
+    assert run_cli("montecarlo", "--params", path, "--reps", 3, "--n", "400,900") == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
+            if not line.startswith("#")]
+    assert len(rows) == 6
+    assert {row[2] for row in rows} == {"NonStationary"}
 
 
 def test_unknown_subcommand_is_exit_1():

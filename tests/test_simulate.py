@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 import vechgarch as vg
 from vechgarch import linalg
 from vechgarch.exceptions import InvalidInput, NonStationary, PositivityViolation
-from vechgarch.simulate import read_returns_csv, simulate, to_x, write_returns_csv
+from vechgarch.simulate import (
+    _simulate_paths,
+    read_returns_csv,
+    simulate,
+    to_x,
+    write_returns_csv,
+)
 
 
 def test_same_seed_same_path(ref_spec_d2):
@@ -51,21 +57,72 @@ def test_scalar_recursion_replay(ref_spec_d1):
     assert np.array_equal(out.h_path[:, 0], np.asarray(hs[burn_in:]))
 
 
-def test_matrix_recursion_replay(ref_spec_d2):
+@pytest.fixture(params=[2, 3], ids=["d2", "d3"])
+def matrix_spec(request, ref_spec_d2, ref_spec_d3):
+    return {2: ref_spec_d2, 3: ref_spec_d3}[request.param]
+
+
+def test_matrix_recursion_replay(matrix_spec):
     n, burn_in, seed = 150, 30, 13
-    out = simulate(ref_spec_d2, n, seed=seed, burn_in=burn_in)
-    eps = np.random.Generator(np.random.Philox(seed)).standard_normal((burn_in + n, 2))
-    h = vg.uncond_h(ref_spec_d2)
+    out = simulate(matrix_spec, n, seed=seed, burn_in=burn_in)
+    eps = np.random.Generator(np.random.Philox(seed)).standard_normal(
+        (burn_in + n, matrix_spec.d))
+    h = vg.uncond_h(matrix_spec)
     ys, hs = [], []
     for t in range(burn_in + n):
-        full = np.array([[h[0], h[1]], [h[1], h[2]]])
+        full = linalg.unvech(h)
         yt = np.linalg.cholesky(full) @ eps[t]
         ys.append(yt)
         hs.append(h)
-        x = np.array([yt[0] * yt[0], yt[1] * yt[0], yt[1] * yt[1]])
-        h = ref_spec_d2.c + ref_spec_d2.A @ x + ref_spec_d2.B @ h
+        x = linalg.vech(np.outer(yt, yt))
+        h = matrix_spec.c + matrix_spec.A @ x + matrix_spec.B @ h
     assert np.array_equal(out.y, np.asarray(ys[burn_in:]))
     assert np.array_equal(out.h_path, np.asarray(hs[burn_in:]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_paths_match_simulate(d, ref_spec_d1, ref_spec_d2, ref_spec_d3):
+    spec = {1: ref_spec_d1, 2: ref_spec_d2, 3: ref_spec_d3}[d]
+    n, burn_in, seeds = 400, 50, [13, 14, 99]
+    y, h_path, fail = _simulate_paths(spec, n, seeds, burn_in=burn_in)
+    assert y.shape == (burn_in + n, 3, d)
+    assert h_path.shape == (burn_in + n, 3, spec.dbar)
+    assert fail.tolist() == [burn_in + n] * 3
+    for r, seed in enumerate(seeds):
+        alone = simulate(spec, n, seed=seed, burn_in=burn_in)
+        assert np.array_equal(y[burn_in:, r], alone.y)
+        assert np.array_equal(h_path[burn_in:, r], alone.h_path)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prefix_property(d, burn_in, ref_spec_d1, ref_spec_d2, ref_spec_d3):
+    spec = {1: ref_spec_d1, 2: ref_spec_d2, 3: ref_spec_d3}[d]
+    short = simulate(spec, 300, seed=5, burn_in=burn_in)
+    long = simulate(spec, 1100, seed=5, burn_in=burn_in)
+    assert np.array_equal(long.y[:300], short.y)
+    assert np.array_equal(long.h_path[:300], short.h_path)
+
+
+def test_stacked_paths_leave_the_stack_one_by_one(positivity_spec_d2):
+    # The middle path fails at step 730 and leaves the stack; the others run
+    # on to the end and still match their paths run alone.
+    n, burn_in, seeds = 900, 200, [31, 32, 33]
+    y, h_path, fail = _simulate_paths(positivity_spec_d2, n, seeds, burn_in=burn_in)
+    assert fail.tolist() == [1100, 730, 1100]
+    for r, seed in enumerate(seeds):
+        if fail[r] == burn_in + n:
+            alone = simulate(positivity_spec_d2, n, seed=seed, burn_in=burn_in)
+            assert np.array_equal(y[burn_in:, r], alone.y)
+            assert np.array_equal(h_path[burn_in:, r], alone.h_path)
+            continue
+        with pytest.raises(PositivityViolation) as info:
+            simulate(positivity_spec_d2, n, seed=seed, burn_in=burn_in)
+        assert info.value.step == fail[r]
+        before = simulate(positivity_spec_d2, fail[r] - burn_in, seed=seed, burn_in=burn_in)
+        assert np.array_equal(y[burn_in : fail[r], r], before.y)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(linalg.unvech(h_path[fail[r], r]))
 
 
 def test_constant_variance_case():
