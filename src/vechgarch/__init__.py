@@ -70,7 +70,6 @@ from .solver import (
     estimate,
     gammas,
     phi_lstsq,
-    phi_weighted,
     pme_residual,
     nme_residual,
     project_stationary,

@@ -56,7 +56,7 @@ def _load_matrix(path, what):
 
 
 def _dump_json(payload, path):
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload)
     if path is None:
         print(text)
     else:
@@ -80,8 +80,7 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     y = read_returns_csv(args.data)
     x = to_x(y)
-    report = estimate(x, phi_method=args.phi_method, lags=args.lags,
-                      project=args.project_stationary)
+    report = estimate(x, lags=args.lags, project=args.project_stationary)
     payload = report.to_json()
     if args.with_se:
         se_report = asymptotics.standard_errors(report, x, bandwidth=args.bandwidth)
@@ -176,8 +175,7 @@ def cmd_montecarlo(args):
 
 def _fit_row(row, spec, y, args):
     x = to_x(y)
-    report = estimate(x, phi_method=args.phi_method, lags=args.lags,
-                      project=args.project_stationary)
+    report = estimate(x, lags=args.lags, project=args.project_stationary)
     err_c, err_a, err_b, err_max = _block_errors(report.spec, spec)
     row.update(err_max=f"{err_max:.10g}", err_c=f"{err_c:.10g}",
                err_a=f"{err_a:.10g}", err_b=f"{err_b:.10g}")
@@ -244,6 +242,16 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Options of a fit, shared by ``estimate`` and ``montecarlo``.
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--lags", type=_positive_int, default=1,
+                     help="lag identities pooled into Phi (stacked least squares "
+                          "when > 1)")
+    fit.add_argument("--with-se", action="store_true", dest="with_se")
+    fit.add_argument("--bandwidth", type=int, default=None)
+    fit.add_argument("--project-stationary", action="store_true",
+                     dest="project_stationary")
+
     sim = sub.add_parser("simulate", help="simulate a sample path to CSV")
     sim.add_argument("--params", required=True, help="spec JSON file")
     sim.add_argument("--out", required=True, help="output CSV path")
@@ -252,16 +260,10 @@ def _build_parser():
     sim.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
     sim.set_defaults(func=cmd_simulate)
 
-    est = sub.add_parser("estimate", help="estimate parameters from a returns CSV")
+    est = sub.add_parser("estimate", parents=[fit],
+                         help="estimate parameters from a returns CSV")
     est.add_argument("--data", required=True, help="returns CSV with header y1,...,yd")
     est.add_argument("--out", help="output JSON path (stdout when omitted)")
-    est.add_argument("--phi-method", choices=["lag1", "weighted", "lstsq"],
-                     default="lag1", dest="phi_method")
-    est.add_argument("--lags", type=_positive_int, default=1)
-    est.add_argument("--with-se", action="store_true", dest="with_se")
-    est.add_argument("--bandwidth", type=int, default=None)
-    est.add_argument("--project-stationary", action="store_true",
-                     dest="project_stationary")
     est.set_defaults(func=cmd_estimate)
 
     agg = sub.add_parser("aggregate", help="derive low-frequency parameters")
@@ -274,20 +276,14 @@ def _build_parser():
     agg.add_argument("--out", help="output JSON path (stdout when omitted)")
     agg.set_defaults(func=cmd_aggregate)
 
-    mc = sub.add_parser("montecarlo", help="replicated simulate-and-estimate study")
+    mc = sub.add_parser("montecarlo", parents=[fit],
+                        help="replicated simulate-and-estimate study")
     mc.add_argument("--params", required=True, help="true spec JSON file")
     mc.add_argument("--reps", type=_positive_int, required=True)
     mc.add_argument("--n", type=_int_list, required=True,
                     help="comma-separated sample sizes")
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
-    mc.add_argument("--phi-method", choices=["lag1", "weighted", "lstsq"],
-                    default="lag1", dest="phi_method")
-    mc.add_argument("--lags", type=_positive_int, default=1)
-    mc.add_argument("--with-se", action="store_true", dest="with_se")
-    mc.add_argument("--bandwidth", type=int, default=None)
-    mc.add_argument("--project-stationary", action="store_true",
-                    dest="project_stationary")
     mc.add_argument("--out", help="output CSV path (stdout when omitted)")
     mc.set_defaults(func=cmd_montecarlo)
 

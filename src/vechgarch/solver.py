@@ -3,8 +3,8 @@
 The pipeline maps a :class:`~vechgarch.model.MomentSet` to parameter
 estimates:
 
-1. ``Phi`` from the lag identities (``m2 m1^{-1}`` by default, with
-   weighted and stacked least-squares variants over extra lags),
+1. ``Phi`` from the lag identities ``m_{k+1} = Phi m_k``: ``m2 m1^{-1}``
+   at one lag, stacked least squares when ``lags > 1`` pools more of them,
 2. innovation autocovariances ``gamma0 = m0 - m1 Phi' - Phi m1' +
    Phi m0 Phi'`` and ``gamma1 = m1 - Phi m0``,
 3. the moving-average matrix ``B = -gamma1 Sigma^{-1}``, the stable solvent
@@ -22,6 +22,7 @@ fixed-point recursion that converges quadratically, not an optimiser.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -47,7 +48,6 @@ __all__ = [
     "EstimateReport",
     "gammas",
     "phi_lstsq",
-    "phi_weighted",
     "build_p",
     "solve_b",
     "pme_residual",
@@ -155,21 +155,10 @@ def _complex_list(values):
     return [{"re": float(v.real), "im": float(v.imag)} for v in np.asarray(values)]
 
 
-def gammas(ms, phi_method="lag1", extra_covs=None, weights=None, tol=DEFAULT_TOL):
-    """Build the :class:`GammaState` implied by a moment set.
-
-    Parameters
-    ----------
-    ms : MomentSet
-    phi_method : {"lag1", "weighted", "lstsq"}
-        ``lag1`` solves ``Phi m1 = m2`` exactly; the other two combine the
-        higher-lag identities ``m_{k+1} = Phi m_k`` supplied through
-        ``extra_covs`` (a list ``[m3, m4, ...]``).
-    weights : sequence, optional
-        One weight per lag identity; equal weights by default.
-    """
-    phi = _estimate_phi(ms, phi_method, extra_covs, weights, tol)
-    return _gamma_state(ms, phi)
+def gammas(ms, tol=DEFAULT_TOL):
+    """Build the lag-1 :class:`GammaState` of a moment set: ``Phi`` solves
+    ``Phi m1 = m2`` exactly."""
+    return _gamma_state(ms, _estimate_phi(ms, None, tol))
 
 
 def _gamma_state(ms, phi):
@@ -178,61 +167,29 @@ def _gamma_state(ms, phi):
     return GammaState(phi=phi, gamma0=g0, gamma1=g1)
 
 
-def _estimate_phi(ms, phi_method, extra_covs, weights, tol):
-    covs = [ms.m1, ms.m2] + [np.asarray(m, dtype=float) for m in (extra_covs or [])]
-    if phi_method == "lag1":
-        try:
-            return linalg.rsolve(ms.m2, ms.m1, tol=tol, name="m1")
-        except SingularMatrix as exc:
-            raise SingularMatrix(
-                f"{exc}; the stacked phi_method='lstsq' handles singular "
-                "individual lags"
-            ) from exc
-    if phi_method == "weighted":
-        return phi_weighted(covs, weights=weights, tol=tol)
-    if phi_method == "lstsq":
-        return phi_lstsq(covs, weights=weights, tol=tol)
-    raise InvalidInput(f"unknown phi_method {phi_method!r}")
+def _estimate_phi(ms, extra_covs, tol):
+    if extra_covs:
+        return phi_lstsq([ms.m1, ms.m2, *extra_covs], tol=tol)
+    try:
+        return linalg.rsolve(ms.m2, ms.m1, tol=tol, name="m1")
+    except SingularMatrix as exc:
+        raise SingularMatrix(
+            f"{exc}; pooling lags > 1 by stacked least squares handles singular "
+            "individual lags"
+        ) from exc
 
 
-def _lag_weights(n_lags, weights):
-    if weights is None:
-        return np.full(n_lags, 1.0 / n_lags)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n_lags,):
-        raise InvalidInput(f"need {n_lags} weights, got shape {w.shape}")
-    if not np.isfinite(w).all() or w.sum() <= 0:
-        raise InvalidInput("weights must be finite with positive sum")
-    return w / w.sum()
-
-
-def phi_lstsq(covs, weights=None, tol=DEFAULT_TOL):
+def phi_lstsq(covs, tol=DEFAULT_TOL):
     """Least-squares ``Phi`` over stacked lag identities.
 
     ``covs`` is ``[m1, m2, ..., m_{K+1}]``; the result minimises
-    ``|| Phi [w_1 m1 ... w_K mK] - [w_1 m2 ... w_K m_{K+1}] ||_F``.
+    ``|| Phi [m1 ... mK] - [m2 ... m_{K+1}] ||_F``.
     Reduces to the plain lag-1 solution when ``K = 1`` and ``m1`` is
     invertible.
     """
     if len(covs) < 2:
         raise InvalidInput("need at least two autocovariances (m1 and m2)")
-    n_lags = len(covs) - 1
-    w = _lag_weights(n_lags, weights)
-    design = np.hstack([w[k] * covs[k] for k in range(n_lags)])
-    target = np.hstack([w[k] * covs[k + 1] for k in range(n_lags)])
-    return linalg.lstsq(design, target, tol=tol)
-
-
-def phi_weighted(covs, weights=None, tol=DEFAULT_TOL):
-    """Convex combination of per-lag solutions ``m_{k+1} m_k^{-1}``."""
-    if len(covs) < 2:
-        raise InvalidInput("need at least two autocovariances (m1 and m2)")
-    n_lags = len(covs) - 1
-    w = _lag_weights(n_lags, weights)
-    out = np.zeros_like(np.asarray(covs[0], dtype=float))
-    for k in range(n_lags):
-        out += w[k] * linalg.rsolve(covs[k + 1], covs[k], tol=tol, name=f"m{k + 1}")
-    return out
+    return linalg.lstsq(np.hstack(covs[:-1]), np.hstack(covs[1:]), tol=tol)
 
 
 def build_p(gs, tol=DEFAULT_TOL):
@@ -442,8 +399,7 @@ def _run_stage(name, fn, *args, **kwargs):
         raise
 
 
-def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
-             tol_unimodular=None, tol=DEFAULT_TOL):
+def estimate(data, lags=1, project=False, tol_unimodular=None, tol=DEFAULT_TOL):
     """Closed-form estimation of (c, A, B, Sigma) from data or moments.
 
     Parameters
@@ -452,13 +408,10 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
         Either the ``n x dbar`` series of half-vectorised outer products
         ``x_t`` (use :func:`vechgarch.simulate.to_x` on raw returns) or a
         precomputed :class:`~vechgarch.model.MomentSet`.
-    phi_method : {"lag1", "weighted", "lstsq"}
-        How to combine lag identities into ``Phi``.
     lags : int
-        Number of lag identities for the weighted/lstsq methods; entries
-        beyond the first two autocovariances require raw data.
-    weights : sequence, optional
-        Per-lag weights, equal by default.
+        Number ``K`` of lag identities ``m_{k+1} = Phi m_k`` behind ``Phi``:
+        ``1`` gives ``m2 m1^{-1}``, ``K > 1`` pools ``k = 1..K`` by stacked
+        least squares (:func:`phi_lstsq`) and requires raw data.
     project : bool
         Project a nonstationary ``Phi`` estimate back inside the unit
         circle before forming the innovation autocovariances.
@@ -471,9 +424,9 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
         Parameter estimates plus spectral data, equation residuals and
         diagnostics; soft repairs are listed in ``diagnostics.warnings``.
     """
-    if lags < 1:
-        raise InvalidInput(f"lags must be >= 1, got {lags}")
-    pooled = phi_method != "lag1" and lags > 1
+    if not isinstance(lags, numbers.Integral) or lags < 1:
+        raise InvalidInput(f"lags must be an integer >= 1, got {lags!r}")
+    pooled = lags > 1
     extra = None
     if isinstance(data, MomentSet):
         ms = data
@@ -493,8 +446,8 @@ def estimate(data, phi_method="lag1", lags=1, weights=None, project=False,
             extra = covs[3:]
     linalg.mat_dim(ms.dbar)  # validates the vech width
     notes = []
-    departure = f"pools {lags} lag identities ({phi_method})" if pooled else None
-    phi_hat = _run_stage("gammas", _estimate_phi, ms, phi_method, extra, weights, tol)
+    departure = f"pools {lags} lag identities" if pooled else None
+    phi_hat = _run_stage("gammas", _estimate_phi, ms, extra, tol)
     if project and linalg.spectral_radius(phi_hat) >= 1.0:
         phi_hat, notes = _project_impl(phi_hat, 1e-3, tol)
         departure = "was projected inside the unit circle (phi_projected)"

@@ -146,11 +146,10 @@ def test_estimate_with_se_refuses_pooled_lags(tmp_path, spec_file, capsys):
     assert run_cli("simulate", "--params", spec_file, "--out", data,
                    "--n", 5000, "--seed", 13) == 0
     capsys.readouterr()
-    code = run_cli("estimate", "--data", data, "--phi-method", "lstsq",
-                   "--lags", 4, "--with-se")
+    code = run_cli("estimate", "--data", data, "--lags", 3, "--with-se")
     assert code == 1
     out = capsys.readouterr()
-    assert "pools 4 lag identities" in out.err
+    assert "pools 3 lag identities" in out.err
     assert out.out == ""
 
 
@@ -268,8 +267,7 @@ def test_montecarlo_with_se_marks_pooled_lags_invalid(tmp_path, spec_file):
     out = tmp_path / "mc.csv"
     code = run_cli("montecarlo", "--params", spec_file, "--reps", 1,
                    "--n", "2000", "--seed", 2, "--burn-in", 200,
-                   "--phi-method", "weighted", "--lags", 2, "--with-se",
-                   "--out", out)
+                   "--lags", 2, "--with-se", "--out", out)
     assert code == 0
     rows = [line for line in out.read_text().strip().splitlines()
             if not line.startswith("#")]
@@ -281,8 +279,7 @@ def test_montecarlo_with_se_keeps_refused_se_rows_in_the_median(tmp_path, spec_f
     # failures, a median over both rows, and the refusals counted apart.
     out = tmp_path / "mc.csv"
     code = run_cli("montecarlo", "--params", spec_file, "--reps", 2,
-                   "--n", "2000", "--phi-method", "weighted", "--lags", 2,
-                   "--with-se", "--out", out)
+                   "--n", "2000", "--lags", 2, "--with-se", "--out", out)
     assert code == 0
     lines = out.read_text().strip().splitlines()
     rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]

@@ -23,7 +23,6 @@ from vechgarch.solver import (
     gammas,
     nme_residual,
     phi_lstsq,
-    phi_weighted,
     pme_residual,
     project_stationary,
     recover_sigma,
@@ -93,7 +92,7 @@ def test_gamma_state_symmetrises_gamma0():
 
 def test_singular_m1_mentions_the_stacked_fallback():
     ms = vg.MomentSet(mean=[1.0], m0=[[1.0]], m1=[[0.0]], m2=[[0.0]])
-    with pytest.raises(SingularMatrix, match="lstsq"):
+    with pytest.raises(SingularMatrix, match="lags > 1"):
         gammas(ms)
 
 
@@ -104,20 +103,13 @@ def test_phi_variants_agree_on_population(ref_spec_d2):
     phi = ref_spec_d2.phi
     m3 = phi @ ms.m2
     covs = [ms.m1, ms.m2, m3]
-    assert_allclose(phi_weighted(covs), phi, atol=1e-10)
     assert_allclose(phi_lstsq(covs), phi, atol=1e-10)
-    assert_allclose(phi_lstsq(covs, weights=[0.8, 0.2]), phi, atol=1e-10)
     # K = 1 least squares on an invertible m1 is plain right division.
     assert_allclose(phi_lstsq([ms.m1, ms.m2]), linalg.rsolve(ms.m2, ms.m1),
                     atol=1e-12)
 
 
 def test_lag_weight_validation():
-    covs = [np.eye(2), np.eye(2), np.eye(2)]
-    with pytest.raises(InvalidInput):
-        phi_weighted(covs, weights=[1.0])
-    with pytest.raises(InvalidInput):
-        phi_lstsq(covs, weights=[-1.0, -2.0])
     with pytest.raises(InvalidInput):
         phi_lstsq([np.eye(2)])
 
@@ -392,12 +384,10 @@ def test_estimate_rejects_bad_arguments(ref_spec_d1):
     x = to_x(simulate(ref_spec_d1, 1_000, seed=47).y)
     with pytest.raises(InvalidInput):
         estimate(x, lags=0)
+    with pytest.raises(InvalidInput, match="integer"):
+        estimate(x, lags=2.5)
     with pytest.raises(InvalidInput):
-        estimate(x, phi_method="newton")
-    from vechgarch.moments import sample_moments
-
-    with pytest.raises(InvalidInput):
-        estimate(sample_moments(x), phi_method="lstsq", lags=2)
+        estimate(sample_moments(x), lags=2)
     with pytest.raises(InvalidInput):
         estimate(np.ones((100, 2)))  # 2 is not a vech width
 
@@ -405,11 +395,20 @@ def test_estimate_rejects_bad_arguments(ref_spec_d1):
 def test_estimate_with_extra_lags_runs(ref_spec_d1):
     x = to_x(simulate(ref_spec_d1, 20_000, seed=53).y)
     base = estimate(x)
-    stacked = estimate(x, phi_method="lstsq", lags=3)
-    mixed = estimate(x, phi_method="weighted", lags=2, weights=[0.7, 0.3])
-    for rep in (stacked, mixed):
+    for lags in (2, 3):
+        rep = estimate(x, lags=lags)
         assert np.isfinite(rep.spec.B).all()
         assert abs(rep.spec.B[0, 0] - base.spec.B[0, 0]) < 0.2
+
+
+def test_estimate_lags_pool_by_stacked_least_squares(ref_spec_d2):
+    # lags = K alone selects the pooled estimator: Phi is the stacked
+    # least-squares solution over m1..m_{K+1}, and the report says so.
+    x = to_x(simulate(ref_spec_d2, 5_000, seed=59).y)
+    report = estimate(x, lags=3)
+    covs = vg.sample_autocovariances(x, 4)
+    assert_allclose(report.gamma_state.phi, phi_lstsq(covs[1:]), rtol=1e-12)
+    assert report.phi_departure == "pools 3 lag identities"
 
 
 def test_estimate_projection_rescues_explosive_phi():
