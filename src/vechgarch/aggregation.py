@@ -3,9 +3,10 @@
 Sampling a process every ``m`` periods (stock aggregation) or summing
 returns over blocks of ``m`` periods (flow aggregation) again yields a
 weak VARMA(1,1) in the squared returns, with autoregressive matrix
-``Phi^m``.  Its innovation autocovariances are finite linear combinations
-``sum_i J_i Sigma J_i'`` whose coefficient ladders are built here, after
-which the usual palindromic solve recovers the low-frequency ``(c, A, B)``.
+``Phi^m``.  Its innovation autocovariances are ``gamma0 = sum_i J_i Sigma
+J_i'`` and ``gamma1 = sum_i J_{i+m} Sigma J_i'`` over one MA ladder: the
+sampled process's ``J_0..J_m`` (stock) or their moving sums over ``m`` lags
+(flow).  The palindromic solve then recovers the low-frequency ``(c, A, B)``.
 
 Flow aggregation allows an additive noise ``w`` on the aggregated returns
 whose squared-process covariance ``sigma_w`` enters the autocovariances;
@@ -15,6 +16,7 @@ moment is ``m h``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +56,10 @@ class AggregationInput:
     def __post_init__(self):
         if self.kind not in ("stock", "flow"):
             raise InvalidInput(f"kind must be 'stock' or 'flow', got {self.kind!r}")
-        if int(self.m) < 1:
-            raise InvalidInput(f"m must be >= 1, got {self.m}")
+        _check_m(self.m)
         object.__setattr__(self, "m", int(self.m))
         k = self.spec.dbar
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.shape != (k, k) or not np.isfinite(sigma).all():
-            raise InvalidInput(f"sigma must be a finite {k} x {k} matrix")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _check_cov(self.sigma, k, "sigma"))
         if self.kind == "flow":
             object.__setattr__(self, "sigma_w", _flow_noise(self.sigma_w, k, self.m))
         elif self.sigma_w is not None:
@@ -86,47 +84,35 @@ class AggregatedSpec:
         return out
 
 
-def _stock_ladder(spec, m):
-    """Coefficients ``J_0..J_m`` of the sampled process's MA representation.
+def _ladder(spec, m, kind):
+    """MA coefficients ``J_i`` of the aggregated squared-returns process.
 
-    ``J_0 = I``, ``J_i = Phi^{i-1} A`` for ``1 <= i <= m-1``, and the final
-    coefficient is ``J_m = -Phi^{m-1} B`` (it replaces ``Phi^{m-1} A``: the
-    lag-m innovation enters through the previous low-frequency observation).
+    The stock ladder ``J_0..J_m`` is ``J_0 = I``, ``J_i = Phi^{i-1} A`` for
+    ``1 <= i <= m-1``, and ``J_m = -Phi^{m-1} B`` (it replaces ``Phi^{m-1}
+    A``: the lag-m innovation enters through the previous low-frequency
+    observation).  A block sum adds the stock coefficients of its ``m``
+    periods, so the flow ladder ``J_0..J_{2m-1}`` is the moving sum
+    ``J_i^flow = sum_{i-m < l <= i} J_l^stock``.
     """
-    powers = linalg.power_sequence(spec.phi, max(m - 1, 0))
-    ladder = [np.eye(spec.dbar)]
+    powers = linalg.power_sequence(spec.phi, m - 1)
+    stock = [np.eye(spec.dbar)]
     for i in range(1, m):
-        ladder.append(powers[i - 1] @ spec.A)
-    ladder.append(-powers[m - 1] @ spec.B)
-    return ladder
+        stock.append(powers[i - 1] @ spec.A)
+    stock.append(-powers[m - 1] @ spec.B)
+    if kind == "stock":
+        return stock
+    # Highest lag first, so that the largest term, J_0 = I, is added last.
+    return [sum(reversed(stock[max(i - m + 1, 0) : i + 1])) for i in range(2 * m)]
 
 
-def _flow_ladder(spec, m):
-    """Coefficients ``J_0..J_{2m-1}`` for the block-summed process.
-
-    Partial sums ``S_i = (I + Phi + ... + Phi^{i-1}) A`` accumulate while an
-    innovation still contributes to the current block; past the block
-    boundary the leading terms drop off again and every coefficient from
-    ``i = m`` on carries the ``-Phi^{m-1} B`` tail.
-    """
-    k = spec.dbar
-    powers = linalg.power_sequence(spec.phi, max(m - 1, 0))
-    tail = -powers[m - 1] @ spec.B
-    prefix = [np.zeros((k, k))]
-    for i in range(1, m):
-        prefix.append(prefix[-1] + powers[i - 1])
-    ladder = [np.eye(k)]
-    for i in range(1, m):
-        ladder.append(np.eye(k) + prefix[i] @ spec.A)
-    if m == 1:
-        ladder.append(tail)
-        return ladder
-    ladder.append(prefix[m - 1] @ spec.A + tail)
-    for i in range(m + 1, 2 * m - 1):
-        partial = sum(powers[j] for j in range(i - m, m - 1))
-        ladder.append(partial @ spec.A + tail)
-    ladder.append(tail)
-    return ladder
+def _ladder_gammas(spec, sigma, m, kind):
+    """``gamma0`` (unsymmetrised) and ``gamma1`` over the ladder of ``kind``."""
+    _check_cov(sigma, spec.dbar, "sigma")
+    _check_m(m)
+    ladder = _ladder(spec, m, kind)
+    gamma0 = sum(j @ sigma @ j.T for j in ladder)
+    gamma1 = sum(ladder[i + m] @ sigma @ ladder[i].T for i in range(len(ladder) - m))
+    return gamma0, gamma1
 
 
 def stock_gammas(spec, sigma, m):
@@ -135,12 +121,7 @@ def stock_gammas(spec, sigma, m):
     Returns ``(gamma0_m, gamma1_m)`` with ``gamma0_m = sum_i J_i Sigma
     J_i'`` over the stock ladder and ``gamma1_m = J_m Sigma``.
     """
-    _check_sigma(spec, sigma)
-    if m < 1:
-        raise InvalidInput(f"m must be >= 1, got {m}")
-    ladder = _stock_ladder(spec, m)
-    gamma0 = sum(j @ sigma @ j.T for j in ladder)
-    gamma1 = ladder[m] @ sigma
+    gamma0, gamma1 = _ladder_gammas(spec, sigma, m, "stock")
     return linalg.sym(gamma0), gamma1
 
 
@@ -152,15 +133,10 @@ def flow_gammas(spec, sigma, m, sigma_w=None):
     are affine in it.  Required for ``m > 1``; pass a zero matrix for
     noiseless aggregation.
     """
-    _check_sigma(spec, sigma)
-    if m < 1:
-        raise InvalidInput(f"m must be >= 1, got {m}")
+    gamma0, gamma1 = _ladder_gammas(spec, sigma, m, "flow")
     sw = _flow_noise(sigma_w, spec.dbar, m)
-    ladder = _flow_ladder(spec, m)
     phi_m = np.linalg.matrix_power(spec.phi, m)
-    gamma0 = sum(j @ sigma @ j.T for j in ladder)
     gamma0 = gamma0 + sw + phi_m @ sw @ phi_m.T
-    gamma1 = sum(ladder[i + m] @ sigma @ ladder[i].T for i in range(m))
     gamma1 = gamma1 - phi_m @ sw
     return linalg.sym(gamma0), gamma1
 
@@ -174,17 +150,19 @@ def _flow_noise(sigma_w, k, m):
                 "matrix for noiseless aggregation)"
             )
         return np.zeros((k, k))
-    sw = np.asarray(sigma_w, dtype=float)
-    if sw.shape != (k, k) or not np.isfinite(sw).all():
-        raise InvalidInput(f"sigma_w must be a finite {k} x {k} matrix")
-    return sw
+    return _check_cov(sigma_w, k, "sigma_w")
 
 
-def _check_sigma(spec, sigma):
-    s = np.asarray(sigma, dtype=float)
-    k = spec.dbar
+def _check_cov(a, k, name):
+    s = np.asarray(a, dtype=float)
     if s.shape != (k, k) or not np.isfinite(s).all():
-        raise InvalidInput(f"sigma must be a finite {k} x {k} matrix")
+        raise InvalidInput(f"{name} must be a finite {k} x {k} matrix")
+    return s
+
+
+def _check_m(m):
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
 
 
 def aggregate_params(inp, tol=DEFAULT_TOL):
@@ -217,7 +195,7 @@ def aggregate_params(inp, tol=DEFAULT_TOL):
         h_m = m * h
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gs = GammaState(phi=phi_m, gamma0=gamma0_m, gamma1=gamma1_m)
-    report = _solve(gs, h_m, [], None, tol)
+    report = _solve(gs, h_m, [], tol)
     return AggregatedSpec(spec_m=report.spec, gamma0_m=gamma0_m, gamma1_m=gamma1_m,
                           m=m, kind=inp.kind, report=report)
 
@@ -227,15 +205,14 @@ def aggregate_data(y, m, kind="stock"):
 
     Stock aggregation keeps rows ``m-1, 2m-1, ...`` (the last observation
     of each block); flow aggregation sums consecutive blocks of ``m``
-    rows.  A trailing partial block is dropped.
+    rows.  A trailing incomplete block is dropped.
     """
     a = np.asarray(y, dtype=float)
     if a.ndim != 2:
         raise InvalidInput(f"y must be an n x d matrix, got shape {a.shape}")
     if kind not in ("stock", "flow"):
         raise InvalidInput(f"kind must be 'stock' or 'flow', got {kind!r}")
-    if m < 1:
-        raise InvalidInput(f"m must be >= 1, got {m}")
+    _check_m(m)
     n_blocks = a.shape[0] // m
     if n_blocks == 0:
         raise InvalidInput(f"need at least {m} rows to aggregate with m = {m}")

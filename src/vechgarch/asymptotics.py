@@ -42,8 +42,6 @@ class JacobianState:
     m0: np.ndarray
     m1: np.ndarray
     phi: np.ndarray
-    gamma0: np.ndarray
-    gamma1: np.ndarray
     b: np.ndarray
     sigma: np.ndarray
 
@@ -62,7 +60,7 @@ class JacobianState:
     def _from_report(cls, report):
         """The state a report was solved at, if its ``Phi`` is the lag-1 map
         ``m2 m1^{-1}`` that :func:`jacobian_action` differentiates."""
-        ms, gs = report.moments, report.gamma_state
+        ms = report.moments
         if ms is None:
             raise InvalidInput("no standard errors for a report without moments "
                                "(an aggregation report)")
@@ -71,8 +69,8 @@ class JacobianState:
                 "no standard errors: the delta method differentiates the lag-1 "
                 f"Phi = m2 m1^-1, but this fit's Phi {report.phi_departure}"
             )
-        return cls(mean=ms.mean, m0=ms.m0, m1=ms.m1, phi=gs.phi, gamma0=gs.gamma0,
-                   gamma1=gs.gamma1, b=report.spec.B, sigma=report.sigma)
+        return cls(mean=ms.mean, m0=ms.m0, m1=ms.m1, phi=report.gamma_state.phi,
+                   b=report.spec.B, sigma=report.sigma)
 
 
 @dataclass(frozen=True)

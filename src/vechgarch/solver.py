@@ -247,7 +247,7 @@ def _no_stable_solvent(why):
     )
 
 
-def solve_b(gs, tol_unimodular=None, tol=DEFAULT_TOL):
+def solve_b(gs, tol=DEFAULT_TOL):
     """Stable solvent of the palindromic quadratic, by cyclic reduction.
 
     Meini's cyclic reduction on ``gamma1' + gamma0 G + gamma1 G^2 = 0`` with
@@ -269,11 +269,10 @@ def solve_b(gs, tol_unimodular=None, tol=DEFAULT_TOL):
     ------
     UnimodularEigenvalues
         If the recursion has not converged after ``_CR_MAX_STEPS`` steps,
-        ``A_0`` turns singular, or ``rho(B) >= 1 - tol_unimodular``: the
+        ``A_0`` turns singular, or ``rho(B) >= 1 - tol.unimodular``: the
         quadratic then has eigenvalues on (or within the band of) the unit
         circle, where no stable/anti-stable split exists.
     """
-    band = tol.unimodular if tol_unimodular is None else float(tol_unimodular)
     k = gs.dbar
     a_minus, a_zero, a_plus, a_hat = gs.gamma1.T, gs.gamma0, gs.gamma1, gs.gamma0
     for step in range(1, _CR_MAX_STEPS + 1):
@@ -297,8 +296,8 @@ def solve_b(gs, tol_unimodular=None, tol=DEFAULT_TOL):
     values = np.linalg.eigvals(b).astype(complex)
     values = values[np.argsort(np.abs(values), kind="stable")]
     rho = float(np.abs(values[-1]))
-    if rho >= 1.0 - band:
-        raise _no_stable_solvent(f"rho(B) = {rho:.10g} is within {band:g} of 1")
+    if rho >= 1.0 - tol.unimodular:
+        raise _no_stable_solvent(f"rho(B) = {rho:.10g} is within {tol.unimodular:g} of 1")
     reciprocals = np.full(k, np.inf, dtype=complex)
     nonzero = values != 0
     reciprocals[nonzero] = 1.0 / values[nonzero]
@@ -399,7 +398,7 @@ def _run_stage(name, fn, *args, **kwargs):
         raise
 
 
-def estimate(data, lags=1, project=False, tol_unimodular=None, tol=DEFAULT_TOL):
+def estimate(data, lags=1, project=False, tol=DEFAULT_TOL):
     """Closed-form estimation of (c, A, B, Sigma) from data or moments.
 
     Parameters
@@ -415,8 +414,8 @@ def estimate(data, lags=1, project=False, tol_unimodular=None, tol=DEFAULT_TOL):
     project : bool
         Project a nonstationary ``Phi`` estimate back inside the unit
         circle before forming the innovation autocovariances.
-    tol_unimodular : float, optional
-        Band below 1 that ``rho(B)`` must stay out of (see :func:`solve_b`).
+    tol : ToleranceConfig
+        Tolerances; ``rho(B)`` must stay below ``1 - tol.unimodular`` (:func:`solve_b`).
 
     Returns
     -------
@@ -451,11 +450,11 @@ def estimate(data, lags=1, project=False, tol_unimodular=None, tol=DEFAULT_TOL):
     if project and linalg.spectral_radius(phi_hat) >= 1.0:
         phi_hat, notes = _project_impl(phi_hat, 1e-3, tol)
         departure = "was projected inside the unit circle (phi_projected)"
-    report = _solve(_gamma_state(ms, phi_hat), ms.mean, notes, tol_unimodular, tol)
+    report = _solve(_gamma_state(ms, phi_hat), ms.mean, notes, tol)
     return replace(report, moments=ms, phi_departure=departure)
 
 
-def _solve(gs, mean, notes, tol_unimodular, tol):
+def _solve(gs, mean, notes, tol):
     """(GammaState, mean) -> EstimateReport, for estimation and aggregation;
     ``notes`` lead the warnings."""
     if gs.gamma0_asymmetry > tol.gamma_symmetry:
@@ -464,7 +463,7 @@ def _solve(gs, mean, notes, tol_unimodular, tol):
             "message": f"gamma0 symmetrised (relative asymmetry "
                        f"{gs.gamma0_asymmetry:.3e})",
         }]
-    sol = _run_stage("solve_b", solve_b, gs, tol_unimodular=tol_unimodular, tol=tol)
+    sol = _run_stage("solve_b", solve_b, gs, tol=tol)
     rec = _run_stage("sigma", recover_sigma, sol.b, gs, tol=tol)
     k = gs.dbar
     spec = GarchSpec(d=linalg.mat_dim(k), c=(np.eye(k) - gs.phi) @ mean,

@@ -64,7 +64,7 @@ def test_flow_gammas_scalar_by_hand():
     assert_allclose(g1, [[expect1]], rtol=1e-12)
 
 
-@pytest.mark.parametrize("d,m", [(1, 2), (2, 3), (2, 5), (3, 2)])
+@pytest.mark.parametrize("d,m", [(1, 2), (2, 1), (2, 3), (2, 5), (2, 7), (3, 2)])
 def test_stock_ladder_against_ma_truncation(d, m, rng):
     spec = vg.random_spec(d, rng)
     sigma = vg.random_sigma(spec.dbar, rng)
@@ -79,7 +79,8 @@ def test_stock_ladder_against_ma_truncation(d, m, rng):
         assert np.abs(stock_coefficient(spec, m, i)).max() < 1e-12
 
 
-@pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (2, 2), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (2, 7),
+                                 (3, 3)])
 def test_flow_ladder_against_ma_truncation(d, m, rng):
     spec = vg.random_spec(d, rng)
     sigma = vg.random_sigma(spec.dbar, rng)
@@ -178,6 +179,13 @@ def test_aggregation_input_validation(ref_spec_d2):
         AggregationInput(spec=ref_spec_d2, sigma=sigma, m=2, kind="monthly")
     with pytest.raises(InvalidInput):
         AggregationInput(spec=ref_spec_d2, sigma=sigma, m=0, kind="stock")
+    for m in (2.7, 2.0, "3"):
+        with pytest.raises(InvalidInput, match="integer"):
+            AggregationInput(spec=ref_spec_d2, sigma=sigma, m=m, kind="stock")
+    with pytest.raises(InvalidInput, match="integer"):
+        stock_gammas(ref_spec_d2, sigma, 2.5)
+    with pytest.raises(InvalidInput, match="integer"):
+        flow_gammas(ref_spec_d2, sigma, 2.5, sigma_w=np.zeros((3, 3)))
     with pytest.raises(InvalidInput):
         AggregationInput(spec=ref_spec_d2, sigma=np.eye(2), m=2, kind="stock")
     with pytest.raises(MissingSigmaW):
@@ -225,6 +233,9 @@ def test_aggregate_data_multicolumn(rng):
 def test_aggregate_data_validation():
     with pytest.raises(InvalidInput):
         aggregate_data(np.ones((4, 1)), 0)
+    for m in (2.0, 2.5, "2"):
+        with pytest.raises(InvalidInput, match="integer"):
+            aggregate_data(np.ones((4, 1)), m)
     with pytest.raises(InvalidInput):
         aggregate_data(np.ones((2, 1)), 5)
     with pytest.raises(InvalidInput):

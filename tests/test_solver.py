@@ -208,7 +208,7 @@ def test_unimodular_band_is_configurable():
     gs = gamma_state_of(b, sigma)
     assert_allclose(solve_b(gs).b, b, rtol=1e-10)
     with pytest.raises(UnimodularEigenvalues, match="within 0.05"):
-        solve_b(gs, tol_unimodular=0.05)
+        solve_b(gs, tol=linalg.ToleranceConfig(unimodular=0.05))
 
 
 def test_recover_sigma_zero_b():
