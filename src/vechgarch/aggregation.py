@@ -142,7 +142,10 @@ def flow_gammas(spec, sigma, m, sigma_w=None):
 
 
 def _flow_noise(sigma_w, k, m):
-    """Validated flow-noise covariance; a zero matrix if omitted at m = 1."""
+    """Validated flow-noise covariance; a zero matrix if omitted at m = 1.
+
+    It must be symmetric positive semidefinite; zero is allowed.
+    """
     if sigma_w is None:
         if m > 1:
             raise MissingSigmaW(
@@ -150,7 +153,12 @@ def _flow_noise(sigma_w, k, m):
                 "matrix for noiseless aggregation)"
             )
         return np.zeros((k, k))
-    return _check_cov(sigma_w, k, "sigma_w")
+    s = _check_cov(sigma_w, k, "sigma_w")
+    if linalg.asymmetry(s) > 1e-8:
+        raise InvalidInput("sigma_w must be symmetric")
+    if np.linalg.eigvalsh(s)[0] < -1e-12 * (1.0 + np.linalg.norm(s)):
+        raise InvalidInput("sigma_w must be positive semidefinite")
+    return s
 
 
 def _check_cov(a, k, name):

@@ -114,22 +114,39 @@ def default_bandwidth(n):
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
-def _stacked_process(x):
-    """Rows ``g_t`` of the stacked moment process, for ``t = 0..n-3``."""
-    a = _as_sample(x)
+# Columns per step of the in-place moving sums in ``hac_psi``.  A step
+# wider than the window reads columns it also writes, which numpy's overlap
+# rule makes safe by buffering the operand; steps of one window width are
+# several times slower at small ``p``, where call overhead dominates.  At
+# n = 2e4 and dbar = 1, 3, 6, widths 512 to 2048 time alike and narrower
+# ones are slower; 512 keeps the buffered operand small.
+_BOX_BLOCK = 512
+
+
+def _stacked_process(a, lead=0, trail=0):
+    """The stacked moment process, transposed: ``g_t`` is a column.
+
+    Returns a ``(p, lead + n_g + trail)`` array, ``p = dbar + 3 dbar^2`` and
+    ``n_g = n - 2``, with ``g_t`` in column ``lead + t`` and zeros in the
+    ``lead`` and ``trail`` padding columns.  Row ``dbar + l dbar^2 + j dbar
+    + i`` holds ``z_{t+l,i} z_{t,j}``, entry ``j dbar + i`` of
+    ``vec(z_{t+l} z_t')``.
+    """
     n, k = a.shape
     if n < 4:
         raise InsufficientData(f"need at least 4 observations, got {n}")
-    z = a - a.mean(axis=0)
-    g = np.empty((n - 2, k + 3 * k * k))
-    g[:, :k] = a[: n - 2]
-    # Lag-l block, row t: vec(z_{t+l} z_t'), whose entry j k + i is
-    # z_{t+l,i} z_{t,j}.  Split the block's columns into (lag, j, i) and
-    # write each product in place.
-    lagged = g[:, k:].reshape(n - 2, 3, k, k)
+    n_g = n - 2
+    buf = np.empty((k + 3 * k * k, lead + n_g + trail))
+    buf[:, :lead] = 0.0
+    buf[:, lead + n_g :] = 0.0
+    g = buf[:, lead : lead + n_g]
+    g[:k] = a[:n_g].T
+    zt = np.subtract(a.T, a.mean(axis=0)[:, None], order="C")
+    # The lag-l block, split into (j, i, t), is z_{t,j} z_{t+l,i}.
+    lagged = g[k:].reshape(3, k, k, n_g)
     for lag in range(3):
-        np.multiply(z[: n - 2, :, None], z[lag : n - 2 + lag, None, :], out=lagged[:, lag])
-    return g
+        np.multiply(zt[:, None, :n_g], zt[None, :, lag : lag + n_g], out=lagged[lag])
+    return buf
 
 
 def _clip_psd(m):
@@ -151,9 +168,15 @@ def hac_psi(x, bandwidth=None):
     is computed as a box filter: every moving sum ``s_j`` of ``w``
     consecutive centred ``g_t`` (the series zero-padded at both ends, so
     ``n_g + w - 1`` windows) holds a lag-``l`` pair in ``w - l`` windows, so
-    ``Psi = sum_j s_j s_j' / (n_g w)`` exactly.  The moving sums are
-    differences of one cumulative sum and the whole estimate is one
-    matrix product.
+    ``Psi = sum_j s_j s_j' / (n_g w)`` exactly.
+
+    Everything happens in one ``(p, n_g + 2w - 1)`` buffer: ``g_t`` is
+    written into column ``w + t`` (:func:`_stacked_process`), the rows are
+    centred by their means and cumulated in place into running sums
+    ``c_j``, and ``s_j = c_{j+w} - c_j`` overwrites ``c_j`` in forward
+    steps of :data:`_BOX_BLOCK` columns.  ``Psi`` is then one Gram product
+    of the first ``n_g + w - 1`` columns, and the memory peak is about one
+    ``g``.
 
     Parameters
     ----------
@@ -178,20 +201,20 @@ def hac_psi(x, bandwidth=None):
             f"need more than {10 * max(bandwidth, 1)} observations for bandwidth "
             f"{bandwidth}, got {n}"
         )
-    k = a.shape[1]
-    n_g, p, w = n - 2, k + 3 * k * k, bandwidth + 1
-    # Zero-padded copy of g' with g_t in column w + t, then running sums.
-    # The buffer is allocated before g: once g is freed, box can reuse its
-    # space on the heap, and the resident peak stays at about two g-sized
-    # arrays instead of three.
-    buf = np.zeros((p, n_g + 2 * w - 1))
-    g = _stacked_process(a)
-    g -= g.mean(axis=0)
-    buf[:, w : w + n_g] = g.T
-    del g
-    np.cumsum(buf, axis=1, out=buf)
-    box = buf[:, w:] - buf[:, :-w]
-    del buf
+    n_g, w = n - 2, bandwidth + 1
+    # g' between w leading and w - 1 trailing zero columns, centred and
+    # cumulated in place: column j then holds the running sum c_j.
+    buf = _stacked_process(a, lead=w, trail=w - 1)
+    g = buf[:, w : w + n_g]
+    g -= g.mean(axis=1, keepdims=True)
+    np.cumsum(buf[:, w:], axis=1, out=buf[:, w:])
+    # s_j = c_{j+w} - c_j overwrites c_j; forward steps read only columns
+    # not yet overwritten.
+    windows = n_g + w - 1
+    for j in range(0, windows, _BOX_BLOCK):
+        e = min(j + _BOX_BLOCK, windows)
+        np.subtract(buf[:, j + w : e + w], buf[:, j:e], out=buf[:, j:e])
+    box = buf[:, :windows]
     psi, clipped = _clip_psd(box @ box.T / (n_g * w))
     return PsiEstimate(psi=psi, bandwidth=int(bandwidth), method="hac-bartlett", clipped=clipped)
 
@@ -230,9 +253,9 @@ def spherical_psi(x, phi, tol=DEFAULT_TOL):
     a = _as_sample(x)
     k = a.shape[1]
     ms = sample_moments(a)
-    g = _stacked_process(a)
-    g = g - g.mean(axis=0)
-    m_block = g[:, k:].T @ g[:, k:] / g.shape[0]
+    lagged = _stacked_process(a)[k:]
+    lagged -= lagged.mean(axis=1, keepdims=True)
+    m_block = lagged @ lagged.T / lagged.shape[1]
     psi = np.zeros((k + 3 * k * k, k + 3 * k * k))
     psi[:k, :k] = spherical_cov_h(ms, phi, tol=tol)
     psi[k:, k:] = m_block

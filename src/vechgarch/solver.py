@@ -439,10 +439,12 @@ def estimate(data, lags=1, project=False, tol=DEFAULT_TOL):
         if x.ndim != 2:
             raise InvalidInput(f"data must be an n x dbar matrix, got shape {x.shape}")
         linalg.mat_dim(x.shape[1])  # validates the vech width
-        ms = _run_stage("moments", sample_moments, x)
         if pooled:
             covs = _run_stage("moments", sample_autocovariances, x, lags + 1)
+            ms = MomentSet(mean=x.mean(axis=0), m0=covs[0], m1=covs[1], m2=covs[2])
             extra = covs[3:]
+        else:
+            ms = _run_stage("moments", sample_moments, x)
     linalg.mat_dim(ms.dbar)  # validates the vech width
     notes = []
     departure = f"pools {lags} lag identities" if pooled else None

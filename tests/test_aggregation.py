@@ -210,6 +210,26 @@ def test_aggregate_params_checks_sigma(ref_spec_d2):
                                           m=2, kind="stock"))
 
 
+def test_flow_noise_must_be_a_covariance(ref_spec_d2):
+    # sigma_w = -0.5 is no covariance, yet it used to aggregate silently
+    # (to A = 0.211).
+    with pytest.raises(InvalidInput, match="semidefinite"):
+        AggregationInput(spec=SCALAR, sigma=EYE1, m=2, kind="flow",
+                         sigma_w=np.array([[-0.5]]))
+    asymmetric = 0.1 * np.eye(3)
+    asymmetric[0, 1] = 0.05
+    with pytest.raises(InvalidInput, match="symmetric"):
+        AggregationInput(spec=ref_spec_d2, sigma=np.eye(3), m=2, kind="flow",
+                         sigma_w=asymmetric)
+    with pytest.raises(InvalidInput, match="symmetric"):
+        flow_gammas(ref_spec_d2, np.eye(3), 2, sigma_w=asymmetric)
+    # Zero and singular semidefinite noise pass.
+    singular = np.outer([1.0, 0.5, 0.2], [1.0, 0.5, 0.2])
+    for sigma_w in (np.zeros((3, 3)), singular):
+        AggregationInput(spec=ref_spec_d2, sigma=np.eye(3), m=2, kind="flow",
+                         sigma_w=sigma_w)
+
+
 def test_aggregate_data_examples():
     y = np.array([[1.0], [2.0], [3.0], [4.0]])
     assert_allclose(aggregate_data(y, 2, kind="stock"), [[2.0], [4.0]])

@@ -224,6 +224,19 @@ def test_aggregate_flow_with_noise(tmp_path, capsys):
     assert payload["kind"] == "flow"
 
 
+def test_aggregate_flow_refuses_negative_noise(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SCALAR_SPEC))
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text("[[1.0]]")
+    sigma_w = tmp_path / "sigma_w.json"
+    sigma_w.write_text("[[-0.5]]")
+    code = run_cli("aggregate", "--params", spec, "--sigma", sigma,
+                   "--sigma-w", sigma_w, "--m", 2, "--kind", "flow")
+    assert code == 1
+    assert "semidefinite" in capsys.readouterr().err
+
+
 def test_montecarlo_csv_output(tmp_path, spec_file, capsys):
     out = tmp_path / "mc.csv"
     code = run_cli("montecarlo", "--params", spec_file, "--reps", 3,

@@ -8,6 +8,7 @@ import vechgarch as vg
 from vechgarch import linalg
 from vechgarch.exceptions import InsufficientData, InvalidInput
 from vechgarch.moments import (
+    _BOX_BLOCK,
     _clip_psd,
     _stacked_process,
     default_bandwidth,
@@ -90,9 +91,19 @@ def test_default_bandwidth_values():
     assert default_bandwidth(100_000) == 18
 
 
+def stacked_by_definition(x):
+    """Rows g_t = (x_t, vec(z_t z_t'), vec(z_{t+1} z_t'), vec(z_{t+2} z_t'))."""
+    z = x - x.mean(axis=0)
+    return np.array([
+        np.concatenate([x[t]] + [np.outer(z[t + lag], z[t]).ravel(order="F")
+                                 for lag in range(3)])
+        for t in range(x.shape[0] - 2)
+    ])
+
+
 def bartlett_lag_sum(x, bandwidth):
     """The Bartlett HAC as a sum over lags, with weights 1 - l / (bw + 1)."""
-    g = _stacked_process(x)
+    g = stacked_by_definition(x)
     g = g - g.mean(axis=0)
     n_g = g.shape[0]
     psi = g.T @ g / n_g
@@ -103,21 +114,52 @@ def bartlett_lag_sum(x, bandwidth):
     return psi
 
 
+def assert_hac_matches_lag_sum(x, bandwidth):
+    est = hac_psi(x, bandwidth=bandwidth)
+    bw = default_bandwidth(x.shape[0]) if bandwidth is None else bandwidth
+    want, clipped = _clip_psd(bartlett_lag_sum(x, bw))
+    assert est.bandwidth == bw and est.clipped == clipped
+    assert np.abs(est.psi - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_stacked_process_is_the_transposed_definition(rng):
+    x = np.abs(rng.normal(size=(40, 3))) + 0.1
+    buf = _stacked_process(x, lead=4, trail=3)
+    assert buf.shape == (3 + 27, 4 + 38 + 3)
+    assert np.array_equal(buf[:, 4:42].T, stacked_by_definition(x))
+    assert not buf[:, :4].any() and not buf[:, 42:].any()
+
+
 @pytest.mark.parametrize("bandwidth", [0, 1, 5, None])
 @pytest.mark.parametrize("d", [1, 2], ids=["dbar1", "dbar3"])
 def test_hac_psi_matches_the_bartlett_lag_sum(ref_spec_d1, ref_spec_d2, d, bandwidth):
     spec = ref_spec_d1 if d == 1 else ref_spec_d2
-    x = to_x(simulate(spec, 3_000, seed=29).y)
-    est = hac_psi(x, bandwidth=bandwidth)
-    bw = default_bandwidth(x.shape[0]) if bandwidth is None else bandwidth
-    want, _ = _clip_psd(bartlett_lag_sum(x, bw))
-    assert est.bandwidth == bw
-    assert np.abs(est.psi - want).max() <= 1e-13 * np.abs(want).max()
+    assert_hac_matches_lag_sum(to_x(simulate(spec, 3_000, seed=29).y), bandwidth)
+
+
+WHOLE = (2 - 3_000) % _BOX_BLOCK  # n = 3000: the windows fill whole blocks
+
+
+@pytest.mark.parametrize("n, bandwidth", [
+    (3_000, WHOLE),
+    (3_000, WHOLE + 1),            # one window in the last block
+    (3_000, 200),                  # a ragged last block
+    (10 * _BOX_BLOCK + 300, _BOX_BLOCK + 20),  # window wider than a block
+], ids=["whole", "one-over", "ragged", "wide"])
+def test_hac_psi_in_place_blocks(ref_spec_d1, n, bandwidth):
+    windows = n - 2 + bandwidth
+    assert (windows % _BOX_BLOCK == 0) == (bandwidth == WHOLE)
+    assert_hac_matches_lag_sum(to_x(simulate(ref_spec_d1, n, seed=37).y), bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [0, 5])
+def test_hac_psi_matches_the_bartlett_lag_sum_dbar6(ref_spec_d3, bandwidth):
+    assert_hac_matches_lag_sum(to_x(simulate(ref_spec_d3, 2_000, seed=41).y), bandwidth)
 
 
 def test_hac_psi_peak_memory():
     # The stacked process g (n - 2 rows, p = dbar + 3 dbar^2 columns) is the
-    # big array; the box filter holds it and at most one copy at a time.
+    # big array; the box filter works inside one g-sized buffer.
     rng = np.random.default_rng(31)
     n, dbar = 20_000, 6
     x = np.abs(rng.normal(size=(n, dbar))) + 0.1
@@ -128,15 +170,15 @@ def test_hac_psi_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * g_bytes
+    assert peak <= 1.3 * g_bytes
 
 
 def test_hac_psi_bandwidth_zero_is_plain_covariance(rng):
     x = np.abs(rng.normal(size=(300, 1))) + 0.1
     est = hac_psi(x, bandwidth=0)
     g = _stacked_process(x)
-    g = g - g.mean(axis=0)
-    assert_allclose(est.psi, linalg.sym(g.T @ g / g.shape[0]), atol=1e-12)
+    g -= g.mean(axis=1, keepdims=True)
+    assert_allclose(est.psi, linalg.sym(g @ g.T / g.shape[1]), atol=1e-12)
     assert est.bandwidth == 0 and est.method == "hac-bartlett"
 
 

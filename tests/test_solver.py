@@ -411,6 +411,19 @@ def test_estimate_lags_pool_by_stacked_least_squares(ref_spec_d2):
     assert report.phi_departure == "pools 3 lag identities"
 
 
+@pytest.mark.parametrize("lags", [2, 3, 4])
+def test_pooled_estimate_reads_its_moments_from_one_pass(ref_spec_d2, lags):
+    # The MomentSet comes from the lag-0..K+1 autocovariances; it is bitwise
+    # the one sample_moments computes, and so is the pooled Phi.
+    x = to_x(simulate(ref_spec_d2, 3_000, seed=61).y)
+    report = estimate(x, lags=lags)
+    ms = sample_moments(x)
+    for name in ("mean", "m0", "m1", "m2"):
+        assert np.array_equal(getattr(report.moments, name), getattr(ms, name)), name
+    extra = vg.sample_autocovariances(x, lags + 1)[3:]
+    assert np.array_equal(report.gamma_state.phi, phi_lstsq([ms.m1, ms.m2, *extra]))
+
+
 def test_estimate_projection_rescues_explosive_phi():
     ms = vg.MomentSet(mean=[1.0], m0=[[2.0]], m1=[[1.9]], m2=[[2.0]])
     with pytest.raises(UnimodularEigenvalues):
