@@ -105,14 +105,19 @@ def _ladder(spec, m, kind):
     return [sum(reversed(stock[max(i - m + 1, 0) : i + 1])) for i in range(2 * m)]
 
 
-def _ladder_gammas(spec, sigma, m, kind):
-    """``gamma0`` (unsymmetrised) and ``gamma1`` over the ladder of ``kind``."""
-    _check_cov(sigma, spec.dbar, "sigma")
-    _check_m(m)
+def _gammas(spec, sigma, m, kind, sigma_w):
+    """``(gamma0, gamma1)`` over the ladder of ``kind``, inputs already validated.
+
+    ``sigma_w`` is the flow-noise covariance (``None`` for stock).
+    """
     ladder = _ladder(spec, m, kind)
     gamma0 = sum(j @ sigma @ j.T for j in ladder)
     gamma1 = sum(ladder[i + m] @ sigma @ ladder[i].T for i in range(len(ladder) - m))
-    return gamma0, gamma1
+    if kind == "flow":
+        phi_m = np.linalg.matrix_power(spec.phi, m)
+        gamma0 = gamma0 + sigma_w + phi_m @ sigma_w @ phi_m.T
+        gamma1 = gamma1 - phi_m @ sigma_w
+    return linalg.sym(gamma0), gamma1
 
 
 def stock_gammas(spec, sigma, m):
@@ -121,8 +126,9 @@ def stock_gammas(spec, sigma, m):
     Returns ``(gamma0_m, gamma1_m)`` with ``gamma0_m = sum_i J_i Sigma
     J_i'`` over the stock ladder and ``gamma1_m = J_m Sigma``.
     """
-    gamma0, gamma1 = _ladder_gammas(spec, sigma, m, "stock")
-    return linalg.sym(gamma0), gamma1
+    s = _check_cov(sigma, spec.dbar, "sigma")
+    _check_m(m)
+    return _gammas(spec, s, m, "stock", None)
 
 
 def flow_gammas(spec, sigma, m, sigma_w=None):
@@ -133,12 +139,10 @@ def flow_gammas(spec, sigma, m, sigma_w=None):
     are affine in it.  Required for ``m > 1``; pass a zero matrix for
     noiseless aggregation.
     """
-    gamma0, gamma1 = _ladder_gammas(spec, sigma, m, "flow")
-    sw = _flow_noise(sigma_w, spec.dbar, m)
-    phi_m = np.linalg.matrix_power(spec.phi, m)
-    gamma0 = gamma0 + sw + phi_m @ sw @ phi_m.T
-    gamma1 = gamma1 - phi_m @ sw
-    return linalg.sym(gamma0), gamma1
+    k = spec.dbar
+    s = _check_cov(sigma, k, "sigma")
+    _check_m(m)
+    return _gammas(spec, s, m, "flow", _flow_noise(sigma_w, k, m))
 
 
 def _flow_noise(sigma_w, k, m):
@@ -195,12 +199,8 @@ def aggregate_params(inp, tol=DEFAULT_TOL):
         raise InvalidInput("sigma must be symmetric")
     linalg.cholesky(linalg.sym(inp.sigma), tol=tol)
     h = uncond_h(spec, tol=tol)
-    if inp.kind == "stock":
-        gamma0_m, gamma1_m = stock_gammas(spec, inp.sigma, m)
-        h_m = h
-    else:
-        gamma0_m, gamma1_m = flow_gammas(spec, inp.sigma, m, sigma_w=inp.sigma_w)
-        h_m = m * h
+    gamma0_m, gamma1_m = _gammas(spec, inp.sigma, m, inp.kind, inp.sigma_w)
+    h_m = h if inp.kind == "stock" else m * h
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gs = GammaState(phi=phi_m, gamma0=gamma0_m, gamma1=gamma1_m)
     report = _solve(gs, h_m, [], tol)

@@ -10,9 +10,12 @@ contract.  So is its consequence, the prefix property: for ``n1 <= n2``,
 bitwise, and so does ``h_path``.  The ``montecarlo`` command relies on it
 to simulate each replication once, at the largest sample size.
 
-At d >= 2 the recursion runs a stack of paths together, one batched
-Cholesky factorisation and a few batched products per step; every path is
-computed with the same per-path arithmetic as a path run alone.
+At d >= 2 the recursion runs a stack of paths together in one pass, one
+batched Cholesky factorisation and a few batched products per step; every
+path is computed with the same per-path arithmetic as a path run alone.  A
+path whose covariance fails to be positive definite stays in the stack: its
+factor, and from then on its returns and states, are NaN, and its failing
+step is read off afterwards as its first NaN return.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .exceptions import InvalidInput, PositivityViolation
@@ -90,8 +94,9 @@ def _simulate_paths(spec, n, seeds, burn_in, tol=DEFAULT_TOL):
     ``(burn_in + n, R, d)`` and ``h_path`` of shape ``(burn_in + n, R, dbar)``,
     burn-in included, and ``fail``: for each path the step at which its
     conditional covariance first failed to be positive definite, or
-    ``burn_in + n``.  A failed path's rows from ``fail`` on are undefined,
-    except ``h_path[fail]``, which holds the covariance that failed.
+    ``burn_in + n``.  A failed path's rows from ``fail`` on are NaN at
+    d >= 2 and undefined at d = 1, except ``h_path[fail]``, which holds the
+    covariance that failed.
     """
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
@@ -138,64 +143,14 @@ def _recursion_scalar(spec, h0, eps):
 
 
 def _recursion(spec, h0, eps):
-    # Runs the paths of eps, shape (total, R, d), together.  A path whose
-    # covariance fails at step t leaves the stack there; the rest go on from
-    # t, compacted into fresh buffers.
-    total, paths, _ = eps.shape
+    # Runs all paths of eps, shape (total, R, d), through every step at once.
+    # Step t reads h_path[t] and writes y[t] and h_path[t + 1].
+    total, paths, d = eps.shape
+    k = h0.shape[0]
     y = np.empty_like(eps)
     # Row t + 1 receives h_{t+1} from step t, so one spare row at the end.
-    h_path = np.empty((total + 1, paths, h0.shape[0]))
+    h_path = np.empty((total + 1, paths, k))
     h_path[0] = h0
-    fail = np.full(paths, total)
-    live = np.arange(paths)
-    t = 0
-    while live.size:
-        if live.size == paths:
-            t += _steps(spec, eps[t:], y[t:], h_path[t:])
-        else:
-            part_y = np.empty((total - t, live.size, spec.d))
-            part_h = h_path[t:, live]
-            done = _steps(spec, eps[t:, live], part_y, part_h)
-            y[t : t + done, live] = part_y[:done]
-            h_path[t : t + done + 1, live] = part_h[: done + 1]
-            t += done
-        if t == total:
-            break
-        # The stacked Cholesky call failed at step t: find the paths it
-        # failed for, one by one.
-        pos = _vech_positions(spec.d)
-        bad = np.array([not _positive_definite(h_path[t, r][pos]) for r in live])
-        fail[live[bad]] = t
-        live = live[~bad]
-    return y, h_path[:total], fail
-
-
-def _positive_definite(m):
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _vech_positions(d):
-    """``(d, d)`` array giving the vech position of each entry of a symmetric matrix."""
-    rows, cols = linalg.vech_indices(d)
-    pos = np.empty((d, d), dtype=np.intp)
-    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    return pos
-
-
-def _steps(spec, eps, y, h_path):
-    """Run the recursion from the states ``h_path[0]`` until a Cholesky fails.
-
-    ``eps`` and ``y`` have shape ``(T, R, d)`` and ``h_path`` ``(T + 1, R, dbar)``;
-    step ``t`` reads ``h_path[t]`` and writes ``y[t]`` and ``h_path[t + 1]``.
-    Returns the number of steps completed: ``T``, or the step at which the
-    stacked Cholesky factorisation raised.
-    """
-    total, paths, d = eps.shape
-    k = h_path.shape[2]
     rows, cols = linalg.vech_indices(d)
     # Flat indices into one step's (R, dbar) states and (R, d) returns, so
     # each gather is a single take into a preallocated buffer.
@@ -206,6 +161,7 @@ def _steps(spec, eps, y, h_path):
     c = np.tile(spec.c[:, None], (paths, 1, 1))
     a, b = spec.A, spec.B
     hfull = np.empty((paths, d, d))
+    chol = np.empty((paths, d, d))
     x = np.empty((paths, k, 1))
     x_cols = np.empty((paths, k, 1))
     ax = np.empty((paths, k, 1))
@@ -213,26 +169,40 @@ def _steps(spec, eps, y, h_path):
     eps_col = eps[..., None]
     y_col = y[..., None]
     h_col = h_path[..., None]
-    cholesky, matmul, multiply, add = np.linalg.cholesky, np.matmul, np.multiply, np.add
-    for t in range(total):
-        h = h_col[t]
-        h.take(fill, None, hfull, "clip")
-        try:
-            chol = cholesky(hfull)
-        except np.linalg.LinAlgError:
-            return t
-        yt = y_col[t]
-        matmul(chol, eps_col[t], yt)
-        # x_t = vech(y_t y_t'), then h_{t+1} = c + A x_t + B h_t.
-        yt.take(pick_rows, None, x, "clip")
-        yt.take(pick_cols, None, x_cols, "clip")
-        multiply(x, x_cols, x)
-        matmul(a, x, ax)
-        matmul(b, h, bh)
-        h_next = h_col[t + 1]
-        add(c, ax, h_next)
-        add(h_next, bh, h_next)
-    return total
+    # The gufunc behind np.linalg.cholesky, called directly: the wrapper's
+    # checks and errstate cost more than the factorisation of a small matrix.
+    # A failed factorisation fills only that path's factor with NaN.
+    cholesky = _umath_linalg.cholesky_lo
+    matmul, multiply, add = np.matmul, np.multiply, np.add
+    with np.errstate(invalid="ignore"):
+        for t in range(total):
+            h = h_col[t]
+            h.take(fill, None, hfull, "clip")
+            cholesky(hfull, out=chol, signature="d->d")
+            yt = y_col[t]
+            matmul(chol, eps_col[t], yt)
+            # x_t = vech(y_t y_t'), then h_{t+1} = c + A x_t + B h_t.
+            yt.take(pick_rows, None, x, "clip")
+            yt.take(pick_cols, None, x_cols, "clip")
+            multiply(x, x_cols, x)
+            matmul(a, x, ax)
+            matmul(b, h, bh)
+            h_next = h_col[t + 1]
+            add(c, ax, h_next)
+            add(h_next, bh, h_next)
+    # A failed path's factor is NaN, so are its return and every later
+    # state and return; a path that has not failed has finite returns.
+    nan = np.isnan(y[:, :, 0])
+    fail = np.where(nan.any(axis=0), nan.argmax(axis=0), total)
+    return y, h_path[:total], fail
+
+
+def _vech_positions(d):
+    """``(d, d)`` array giving the vech position of each entry of a symmetric matrix."""
+    rows, cols = linalg.vech_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    return pos
 
 
 def to_x(y):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from numpy.testing import assert_allclose
 
 import vechgarch as vg
@@ -62,22 +64,32 @@ def matrix_spec(request, ref_spec_d2, ref_spec_d3):
     return {2: ref_spec_d2, 3: ref_spec_d3}[request.param]
 
 
+def _serial_reference(spec, eps):
+    # One path by the documented recursion, np.linalg.cholesky step by step;
+    # returns y, h_path and the failing step (or the path length).
+    h = vg.uncond_h(spec)
+    ys, hs = [], []
+    for t in range(eps.shape[0]):
+        hs.append(h)
+        try:
+            chol = np.linalg.cholesky(linalg.unvech(h))
+        except np.linalg.LinAlgError:
+            return np.asarray(ys), np.asarray(hs), t
+        yt = chol @ eps[t]
+        ys.append(yt)
+        h = spec.c + spec.A @ linalg.vech(np.outer(yt, yt)) + spec.B @ h
+    return np.asarray(ys), np.asarray(hs), eps.shape[0]
+
+
 def test_matrix_recursion_replay(matrix_spec):
     n, burn_in, seed = 150, 30, 13
     out = simulate(matrix_spec, n, seed=seed, burn_in=burn_in)
     eps = np.random.Generator(np.random.Philox(seed)).standard_normal(
         (burn_in + n, matrix_spec.d))
-    h = vg.uncond_h(matrix_spec)
-    ys, hs = [], []
-    for t in range(burn_in + n):
-        full = linalg.unvech(h)
-        yt = np.linalg.cholesky(full) @ eps[t]
-        ys.append(yt)
-        hs.append(h)
-        x = linalg.vech(np.outer(yt, yt))
-        h = matrix_spec.c + matrix_spec.A @ x + matrix_spec.B @ h
-    assert np.array_equal(out.y, np.asarray(ys[burn_in:]))
-    assert np.array_equal(out.h_path, np.asarray(hs[burn_in:]))
+    ys, hs, step = _serial_reference(matrix_spec, eps)
+    assert step == burn_in + n
+    assert np.array_equal(out.y, ys[burn_in:])
+    assert np.array_equal(out.h_path, hs[burn_in:])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -105,8 +117,8 @@ def test_prefix_property(d, burn_in, ref_spec_d1, ref_spec_d2, ref_spec_d3):
 
 
 def test_stacked_paths_leave_the_stack_one_by_one(positivity_spec_d2):
-    # The middle path fails at step 730 and leaves the stack; the others run
-    # on to the end and still match their paths run alone.
+    # The middle path fails at step 730; the others run on to the end in the
+    # same stack and still match their paths run alone.
     n, burn_in, seeds = 900, 200, [31, 32, 33]
     y, h_path, fail = _simulate_paths(positivity_spec_d2, n, seeds, burn_in=burn_in)
     assert fail.tolist() == [1100, 730, 1100]
@@ -123,6 +135,52 @@ def test_stacked_paths_leave_the_stack_one_by_one(positivity_spec_d2):
         assert np.array_equal(y[burn_in : fail[r], r], before.y)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(linalg.unvech(h_path[fail[r], r]))
+
+
+def test_stacked_failures_match_serial_reference(positivity_spec_d2):
+    # Every one of these 48 paths fails somewhere in its 5000 steps.
+    n, burn_in, seeds = 4800, 200, list(range(100, 148))
+    y, h_path, fail = _simulate_paths(positivity_spec_d2, n, seeds, burn_in=burn_in)
+    assert (fail < burn_in + n).all()
+    for r, seed in enumerate(seeds):
+        eps = np.random.Generator(np.random.Philox(seed)).standard_normal((burn_in + n, 2))
+        ys, hs, step = _serial_reference(positivity_spec_d2, eps)
+        assert fail[r] == step
+        assert np.array_equal(y[:step, r], ys)
+        assert np.array_equal(h_path[: step + 1, r], hs)
+
+
+def test_failure_on_the_last_step(positivity_spec_d2):
+    # Seed 32 fails at step 730, here the last of 731.
+    y, h_path, fail = _simulate_paths(positivity_spec_d2, 531, [31, 32, 33], burn_in=200)
+    assert fail.tolist() == [731, 730, 731]
+    assert np.isnan(y[730, 1]).all() and np.isfinite(y[:730]).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(linalg.unvech(h_path[730, 1]))
+
+
+def test_failing_stack_leaks_no_warning_or_fp_state(positivity_spec_d2):
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, fail = _simulate_paths(positivity_spec_d2, 900, [31, 32, 33], burn_in=200)
+    assert fail.tolist() == [1100, 730, 1100]
+    assert np.geterr() == before
+
+
+def test_cholesky_gufunc_fills_only_failed_factors_with_nan(rng):
+    # The stacked recursion calls the gufunc behind np.linalg.cholesky and
+    # relies on this: an indefinite matrix gets an all-NaN factor, the
+    # others the factor np.linalg.cholesky gives.
+    m = rng.normal(size=(5, 3, 3))
+    stack = m @ m.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    stack[2] = np.diag([1.0, -1.0, 1.0])
+    chol = np.empty_like(stack)
+    with np.errstate(invalid="ignore"):
+        _umath_linalg.cholesky_lo(stack, out=chol, signature="d->d")
+    assert np.isnan(chol[2]).all()
+    for r in (0, 1, 3, 4):
+        assert np.array_equal(chol[r], np.linalg.cholesky(stack[r]))
 
 
 def test_constant_variance_case():
