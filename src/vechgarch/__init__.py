@@ -27,7 +27,6 @@ from .asymptotics import (
     xi,
 )
 from .exceptions import (
-    EstimationWarning,
     InsufficientData,
     InvalidInput,
     MissingSigmaW,
@@ -72,7 +71,6 @@ from .solver import (
     phi_lstsq,
     pme_residual,
     nme_residual,
-    project_stationary,
     recover_sigma,
     solve_b,
 )

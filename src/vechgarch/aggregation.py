@@ -203,7 +203,7 @@ def aggregate_params(inp, tol=DEFAULT_TOL):
     h_m = h if inp.kind == "stock" else m * h
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gs = GammaState(phi=phi_m, gamma0=gamma0_m, gamma1=gamma1_m)
-    report = _solve(gs, h_m, [], tol)
+    report = _solve(gs, h_m, tol)
     return AggregatedSpec(spec_m=report.spec, gamma0_m=gamma0_m, gamma1_m=gamma1_m,
                           m=m, kind=inp.kind, report=report)
 

@@ -226,7 +226,7 @@ def standard_errors(report, x, bandwidth=None, method="hac-bartlett", tol=DEFAUL
 
     The Jacobian is taken at the report's stored state (no refit); ``x``
     gives the long-run covariance.  Raises ``InvalidInput`` for a report
-    without moments, or whose ``Phi`` pools lags or was projected.
+    without moments, or whose ``Phi`` pools lags.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:

@@ -80,7 +80,7 @@ def cmd_simulate(args):
 def cmd_estimate(args):
     y = read_returns_csv(args.data)
     x = to_x(y)
-    report = estimate(x, lags=args.lags, project=args.project_stationary)
+    report = estimate(x, lags=args.lags)
     payload = report.to_json()
     if args.with_se:
         se_report = asymptotics.standard_errors(report, x, bandwidth=args.bandwidth)
@@ -175,7 +175,7 @@ def cmd_montecarlo(args):
 
 def _fit_row(row, spec, y, args):
     x = to_x(y)
-    report = estimate(x, lags=args.lags, project=args.project_stationary)
+    report = estimate(x, lags=args.lags)
     err_c, err_a, err_b, err_max = _block_errors(report.spec, spec)
     row.update(err_max=f"{err_max:.10g}", err_c=f"{err_c:.10g}",
                err_a=f"{err_a:.10g}", err_b=f"{err_b:.10g}")
@@ -249,8 +249,6 @@ def _build_parser():
                           "when > 1)")
     fit.add_argument("--with-se", action="store_true", dest="with_se")
     fit.add_argument("--bandwidth", type=int, default=None)
-    fit.add_argument("--project-stationary", action="store_true",
-                     dest="project_stationary")
 
     sim = sub.add_parser("simulate", help="simulate a sample path to CSV")
     sim.add_argument("--params", required=True, help="spec JSON file")

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories used across the package."""
+"""Exception hierarchy used across the package."""
 
 
 class VechGarchError(Exception):
@@ -74,6 +74,3 @@ class PositivityViolation(VechGarchError):
 class MissingSigmaW(VechGarchError):
     """Flow aggregation with m > 1 requires the noise covariance sigma_w."""
 
-
-class EstimationWarning(UserWarning):
-    """Category for soft repairs (symmetrization, projection, clipping)."""

@@ -64,23 +64,16 @@ class ToleranceConfig:
         Width of the band below 1 that ``rho(B)`` of a solvent must stay out
         of, which keeps the companion eigenvalues ``(lambda, 1/lambda)`` off
         the unit circle.
-    realify : float
-        Relative imaginary residue allowed when casting a reconstructed
-        matrix back to the reals.
     gamma_symmetry : float
         Relative asymmetry of a lag-0 innovation autocovariance above which
         a warning is recorded.
-    eigvec_cond : float
-        Condition-number cap for eigenvector matrices that get inverted.
     """
 
     symmetry: float = 1e-12
     lyapunov_rho: float = 1e-10
     rcond: float = 1e-13
     unimodular: float = 1e-8
-    realify: float = 1e-8
     gamma_symmetry: float = 1e-10
-    eigvec_cond: float = 1e12
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -94,9 +94,8 @@ def _simulate_paths(spec, n, seeds, burn_in, tol=DEFAULT_TOL):
     ``(burn_in + n, R, d)`` and ``h_path`` of shape ``(burn_in + n, R, dbar)``,
     burn-in included, and ``fail``: for each path the step at which its
     conditional covariance first failed to be positive definite, or
-    ``burn_in + n``.  A failed path's rows from ``fail`` on are NaN at
-    d >= 2 and undefined at d = 1, except ``h_path[fail]``, which holds the
-    covariance that failed.
+    ``burn_in + n``.  A failed path's rows from ``fail`` on are NaN, except
+    ``h_path[fail]``, which holds the covariance that failed.
     """
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
@@ -122,8 +121,8 @@ def _recursion_scalar(spec, h0, eps):
     a = float(spec.A[0, 0])
     b = float(spec.B[0, 0])
     total, paths, _ = eps.shape
-    y = np.empty((total, paths, 1))
-    h_path = np.empty((total, paths, 1))
+    y = np.full((total, paths, 1), np.nan)
+    h_path = np.full((total, paths, 1), np.nan)
     fail = np.full(paths, total)
     for r in range(paths):
         h = float(h0[0])

@@ -23,14 +23,12 @@ fixed-point recursion that converges quadratically, not an optimiser.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .exceptions import (
-    EstimationWarning,
     InvalidInput,
     NotPositiveDefinite,
     SingularMatrix,
@@ -53,7 +51,6 @@ __all__ = [
     "pme_residual",
     "nme_residual",
     "recover_sigma",
-    "project_stationary",
     "estimate",
 ]
 
@@ -122,8 +119,8 @@ class EstimateReport:
     """Full output of the closed-form estimator.
 
     Keeps the ``gamma_state`` and ``moments`` (``None`` after aggregation)
-    it was solved from, and ``phi_departure``: how its ``Phi`` differs from
-    the lag-1 map ``m2 m1^{-1}``, or ``None``.  None of these are in JSON.
+    it was solved from, and ``phi_departure``: ``"pools K lag identities"``
+    when ``Phi`` is not ``m2 m1^{-1}``, else ``None``.  None are in JSON.
     """
 
     spec: GarchSpec
@@ -343,52 +340,6 @@ def recover_sigma(b, gs, tol=DEFAULT_TOL):
                          nme_residual=residual, warnings=notes)
 
 
-def _project_impl(phi, delta, tol):
-    p = np.atleast_2d(np.asarray(phi, dtype=float))
-    dec = linalg.eig(p)
-    moduli = np.abs(dec.eigenvalues)
-    if (moduli < 1.0).all():
-        return p.copy(), []
-    target = dec.eigenvalues.copy()
-    mask = moduli >= 1.0
-    target[mask] = target[mask] / moduli[mask] * (1.0 - delta)
-    notes = [{
-        "code": "phi_projected",
-        "message": f"rescaled {int(mask.sum())} eigenvalue(s) of Phi to modulus "
-                   f"{1.0 - delta:g}",
-    }]
-    cond = np.linalg.cond(dec.eigenvectors)
-    if np.isfinite(cond) and cond <= tol.eigvec_cond:
-        recon = np.linalg.solve(dec.eigenvectors.T, (dec.eigenvectors * target).T).T
-        if np.linalg.norm(recon.imag) <= tol.realify * (1.0 + np.linalg.norm(recon)):
-            out = recon.real
-            if linalg.spectral_radius(out) < 1.0:
-                return out, notes
-    rho = linalg.spectral_radius(p)
-    notes.append({
-        "code": "phi_projection_fallback",
-        "message": "eigenvector basis too ill conditioned; rescaled the whole "
-                   "matrix instead",
-    })
-    return p * ((1.0 - delta) / rho), notes
-
-
-def project_stationary(phi, delta=1e-3, tol=DEFAULT_TOL):
-    """Pull eigenvalues of ``phi`` with modulus >= 1 back inside the circle.
-
-    Offending eigenvalues are rescaled to modulus ``1 - delta`` with their
-    phase preserved and the matrix is rebuilt in its eigenbasis.  If that
-    basis is too ill conditioned to invert, the whole matrix is rescaled by
-    ``(1 - delta) / rho(phi)`` instead and an
-    :class:`~vechgarch.exceptions.EstimationWarning` is emitted.  A matrix
-    that is already stationary is returned unchanged.
-    """
-    out, notes = _project_impl(phi, delta, tol)
-    for note in notes:
-        warnings.warn(note["message"], EstimationWarning, stacklevel=2)
-    return out
-
-
 def _run_stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -398,7 +349,7 @@ def _run_stage(name, fn, *args, **kwargs):
         raise
 
 
-def estimate(data, lags=1, project=False, tol=DEFAULT_TOL):
+def estimate(data, lags=1, tol=DEFAULT_TOL):
     """Closed-form estimation of (c, A, B, Sigma) from data or moments.
 
     Parameters
@@ -411,9 +362,6 @@ def estimate(data, lags=1, project=False, tol=DEFAULT_TOL):
         Number ``K`` of lag identities ``m_{k+1} = Phi m_k`` behind ``Phi``:
         ``1`` gives ``m2 m1^{-1}``, ``K > 1`` pools ``k = 1..K`` by stacked
         least squares (:func:`phi_lstsq`) and requires raw data.
-    project : bool
-        Project a nonstationary ``Phi`` estimate back inside the unit
-        circle before forming the innovation autocovariances.
     tol : ToleranceConfig
         Tolerances; ``rho(B)`` must stay below ``1 - tol.unimodular`` (:func:`solve_b`).
 
@@ -446,25 +394,21 @@ def estimate(data, lags=1, project=False, tol=DEFAULT_TOL):
         else:
             ms = _run_stage("moments", sample_moments, x)
     linalg.mat_dim(ms.dbar)  # validates the vech width
-    notes = []
-    departure = f"pools {lags} lag identities" if pooled else None
     phi_hat = _run_stage("gammas", _estimate_phi, ms, extra, tol)
-    if project and linalg.spectral_radius(phi_hat) >= 1.0:
-        phi_hat, notes = _project_impl(phi_hat, 1e-3, tol)
-        departure = "was projected inside the unit circle (phi_projected)"
-    report = _solve(_gamma_state(ms, phi_hat), ms.mean, notes, tol)
-    return replace(report, moments=ms, phi_departure=departure)
+    report = _solve(_gamma_state(ms, phi_hat), ms.mean, tol)
+    return replace(report, moments=ms,
+                   phi_departure=f"pools {lags} lag identities" if pooled else None)
 
 
-def _solve(gs, mean, notes, tol):
-    """(GammaState, mean) -> EstimateReport, for estimation and aggregation;
-    ``notes`` lead the warnings."""
+def _solve(gs, mean, tol):
+    """(GammaState, mean) -> EstimateReport, for estimation and aggregation."""
+    notes = []
     if gs.gamma0_asymmetry > tol.gamma_symmetry:
-        notes = notes + [{
+        notes.append({
             "code": "gamma0_symmetrized",
             "message": f"gamma0 symmetrised (relative asymmetry "
                        f"{gs.gamma0_asymmetry:.3e})",
-        }]
+        })
     sol = _run_stage("solve_b", solve_b, gs, tol=tol)
     rec = _run_stage("sigma", recover_sigma, sol.b, gs, tol=tol)
     k = gs.dbar

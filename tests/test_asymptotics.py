@@ -230,13 +230,6 @@ def test_standard_errors_refuse_pooled_lags(ref_spec_d1):
         standard_errors(report, x)
 
 
-def test_standard_errors_refuse_projected_phi():
-    ms = vg.MomentSet(mean=[1.0], m0=[[2.0]], m1=[[1.9]], m2=[[2.0]])
-    report = estimate(ms, project=True)
-    with pytest.raises(InvalidInput, match="projected"):
-        standard_errors(report, np.ones((100, 1)))
-
-
 def test_standard_errors_refuse_aggregation_report(ref_spec_d1):
     agg = vg.aggregate_params(vg.AggregationInput(ref_spec_d1, np.eye(1), 2, "stock"))
     with pytest.raises(InvalidInput, match="aggregation report"):

@@ -159,6 +159,18 @@ def test_estimate_unimodular_data_is_exit_4(capsys):
     assert "unit circle" in capsys.readouterr().err
 
 
+def test_project_stationary_flag_is_a_usage_error(tmp_path, spec_file, capsys):
+    code = run_cli("estimate", "--data", FIXTURES / "unimodular.csv",
+                   "--project-stationary")
+    assert code == 1
+    assert "unrecognized arguments: --project-stationary" in capsys.readouterr().err
+    code = run_cli("montecarlo", "--params", spec_file, "--reps", 1, "--n", 100,
+                   "--out", tmp_path / "mc.csv", "--project-stationary")
+    assert code == 1
+    assert "unrecognized arguments: --project-stationary" in capsys.readouterr().err
+    assert not (tmp_path / "mc.csv").exists()
+
+
 def test_estimate_constant_series_is_exit_3(tmp_path, capsys):
     data = tmp_path / "flat.csv"
     data.write_text("y1\n" + "1.0\n" * 100)

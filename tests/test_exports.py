@@ -1,0 +1,45 @@
+"""Every exported name resolves.
+
+A name deleted from a module but left in its ``__all__`` breaks only
+``from vechgarch.<module> import *``, and one left in the package's
+``__init__.py`` imports breaks ``import vechgarch``; both should fail this
+suite by name rather than surprise a user.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import vechgarch
+
+PACKAGE = Path(vechgarch.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"vechgarch.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        for alias in node.names:
+            if node.module is None:
+                # ``from . import module``; the package's ``simulate`` is the
+                # function, which shadows the module of the same name.
+                importlib.import_module(f"vechgarch.{alias.name}")
+                continue
+            source = importlib.import_module(f"vechgarch.{node.module}")
+            assert hasattr(source, alias.name), f"{node.module}.{alias.name}"
+            # A module that declares ``__all__`` exports what the package takes.
+            assert alias.name in getattr(source, "__all__", [alias.name]), \
+                f"{alias.name} is not in vechgarch.{node.module}.__all__"
+            assert getattr(vechgarch, alias.asname or alias.name) is getattr(source, alias.name)

@@ -219,6 +219,25 @@ def test_positivity_violation_carries_step():
     assert info.value.step == 0
 
 
+def test_scalar_failed_path_is_nan_from_its_failing_step():
+    # As at d >= 2: from fail on, y and h_path are NaN except h_path[fail],
+    # the variance that failed.
+    spec = vg.GarchSpec(d=1, c=[-1.0], A=[[0.0]], B=[[0.0]])
+    y, h_path, fail = _simulate_paths(spec, 5, [1, 2], burn_in=0)
+    assert fail.tolist() == [0, 0]
+    assert np.isnan(y).all()
+    assert np.array_equal(h_path[0], [[-1.0], [-1.0]])
+    assert np.isnan(h_path[1:]).all()
+    # Negative ARCH feedback: each of these paths fails part way through.
+    spec = vg.GarchSpec(d=1, c=[0.1], A=[[-0.5]], B=[[0.5]])
+    y, h_path, fail = _simulate_paths(spec, 50, [1, 2, 3], burn_in=0)
+    assert fail.tolist() == [13, 12, 15]
+    for r, step in enumerate(fail):
+        assert np.isfinite(y[:step, r]).all() and np.isnan(y[step:, r]).all()
+        assert np.isfinite(h_path[:step, r]).all() and h_path[step, r, 0] < 0.0
+        assert np.isnan(h_path[step + 1 :, r]).all()
+
+
 def test_to_x_matches_vech_of_outer(rng):
     y = rng.normal(size=(40, 3))
     x = to_x(y)

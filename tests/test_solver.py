@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 import vechgarch as vg
 from vechgarch import linalg
 from vechgarch.exceptions import (
-    EstimationWarning,
     InsufficientData,
     InvalidInput,
     SingularMatrix,
@@ -24,7 +23,6 @@ from vechgarch.solver import (
     nme_residual,
     phi_lstsq,
     pme_residual,
-    project_stationary,
     recover_sigma,
     solve_b,
 )
@@ -278,44 +276,6 @@ def test_zero_b_eigenvalue_has_an_infinite_reciprocal():
 
 
 # ---------------------------------------------------------------------------
-# stationarity projection
-
-
-def test_projection_leaves_stationary_alone():
-    phi = np.array([[0.3, 0.1], [0.0, 0.5]])
-    assert np.array_equal(project_stationary(phi), phi)
-
-
-def test_projection_scalar_and_rotation():
-    with pytest.warns(EstimationWarning):
-        assert_allclose(project_stationary(np.array([[1.05]])), [[0.999]])
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.warns(EstimationWarning):
-        out = project_stationary(rot)
-    assert_allclose(out, 0.999 * rot, atol=1e-12)
-
-
-def test_projection_falls_back_for_defective_matrix():
-    jordan = np.array([[1.5, 1.0], [0.0, 1.5]])
-    with pytest.warns(EstimationWarning):
-        out = project_stationary(jordan)
-    assert_allclose(out, jordan * (0.999 / 1.5), atol=1e-12)
-    assert linalg.spectral_radius(out) < 1.0
-
-
-def test_projection_keeps_radius_inside(rng):
-    for _ in range(25):
-        phi = rng.normal(size=(3, 3))
-        phi *= rng.uniform(1.0, 3.0) / max(linalg.spectral_radius(phi), 1e-12)
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", EstimationWarning)
-            out = project_stationary(phi)
-        assert linalg.spectral_radius(out) < 1.0
-
-
-# ---------------------------------------------------------------------------
 # the full pipeline
 
 
@@ -424,14 +384,10 @@ def test_pooled_estimate_reads_its_moments_from_one_pass(ref_spec_d2, lags):
     assert np.array_equal(report.gamma_state.phi, phi_lstsq([ms.m1, ms.m2, *extra]))
 
 
-def test_estimate_projection_rescues_explosive_phi():
+def test_estimate_refuses_explosive_phi():
     ms = vg.MomentSet(mean=[1.0], m0=[[2.0]], m1=[[1.9]], m2=[[2.0]])
     with pytest.raises(UnimodularEigenvalues):
         estimate(ms)
-    report = estimate(ms, project=True)
-    codes = {w["code"] for w in report.diagnostics.warnings}
-    assert "phi_projected" in codes
-    assert linalg.spectral_radius(report.spec.phi) < 1.0
 
 
 def test_estimate_notes_gamma0_symmetrisation(ref_spec_d2):
