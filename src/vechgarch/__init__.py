@@ -39,7 +39,7 @@ from .exceptions import (
     UnimodularEigenvalues,
     VechGarchError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, dlyap, unvech, vech
+from .linalg import dlyap, unvech, vech
 from .model import (
     Diagnostics,
     GarchSpec,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import linalg
 from .exceptions import InvalidInput, MissingSigmaW
-from .linalg import DEFAULT_TOL
 from .model import GarchSpec, uncond_h
 from .solver import EstimateReport, GammaState, _solve
 
@@ -177,7 +176,7 @@ def _check_m(m):
         raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
 
 
-def aggregate_params(inp, tol=DEFAULT_TOL):
+def aggregate_params(inp):
     """Low-frequency GARCH parameters implied by a high-frequency spec.
 
     Solves the palindromic quadratic for the aggregated autocovariances,
@@ -197,13 +196,13 @@ def aggregate_params(inp, tol=DEFAULT_TOL):
     spec, m = inp.spec, inp.m
     if linalg.asymmetry(inp.sigma) > 1e-8:
         raise InvalidInput("sigma must be symmetric")
-    linalg.cholesky(linalg.sym(inp.sigma), tol=tol)
-    h = uncond_h(spec, tol=tol)
+    linalg.cholesky(linalg.sym(inp.sigma))
+    h = uncond_h(spec)
     gamma0_m, gamma1_m = _gammas(spec, inp.sigma, m, inp.kind, inp.sigma_w)
     h_m = h if inp.kind == "stock" else m * h
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gs = GammaState(phi=phi_m, gamma0=gamma0_m, gamma1=gamma1_m)
-    report = _solve(gs, h_m, tol)
+    report = _solve(gs, h_m)
     return AggregatedSpec(spec_m=report.spec, gamma0_m=gamma0_m, gamma1_m=gamma1_m,
                           m=m, kind=inp.kind, report=report)
 

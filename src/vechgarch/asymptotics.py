@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from . import linalg
 from .exceptions import InvalidInput
-from .linalg import DEFAULT_TOL
 from .model import MomentSet
 from .moments import PsiEstimate, hac_psi, spherical_psi
 from .solver import estimate
@@ -50,11 +49,11 @@ class JacobianState:
         return self.mean.shape[0]
 
     @classmethod
-    def from_moments(cls, ms, tol=DEFAULT_TOL):
+    def from_moments(cls, ms):
         """Run the lag-1 estimator once and capture its state."""
         if not isinstance(ms, MomentSet):
             raise InvalidInput("ms must be a MomentSet")
-        return cls._from_report(estimate(ms, tol=tol))
+        return cls._from_report(estimate(ms))
 
     @classmethod
     def _from_report(cls, report):
@@ -103,7 +102,7 @@ class AsymptoticReport:
         }
 
 
-def jacobian_action(js, dmean, dm0, dm1, dm2, tol=DEFAULT_TOL):
+def jacobian_action(js, dmean, dm0, dm1, dm2):
     """Directional derivative of the estimator along a moment perturbation.
 
     Implements the chain obtained by differentiating each pipeline stage:
@@ -132,21 +131,21 @@ def jacobian_action(js, dmean, dm0, dm1, dm2, tol=DEFAULT_TOL):
                      for m in (dm0, dm1, dm2))
     phi, m0, m1 = js.phi, js.m0, js.m1
     b, sigma = js.b, js.sigma
-    dphi = linalg.rsolve(dm2 - phi @ dm1, m1, tol=tol, name="m1")
+    dphi = linalg.rsolve(dm2 - phi @ dm1, m1, name="m1")
     dgamma1 = dm1 - dphi @ m0 - phi @ dm0
     # gamma0 = m0 - m1 Phi' - Phi m1' + Phi m0 Phi': under sym, each cross
     # term of its derivative and its transpose add up to twice the one.
     dgamma0 = linalg.sym(dm0 + phi @ dm0 @ phi.T + 2.0 * (
         dphi @ linalg.sym(m0) @ phi.T - dphi @ m1.T - dm1 @ phi.T))
     rhs = dgamma0 + 2.0 * linalg.sym(dgamma1 @ b.T)
-    dsigma = linalg.dlyap(b, rhs, tol=tol)
-    db = -linalg.rsolve(dgamma1 + b @ dsigma, sigma, tol=tol, name="sigma")
+    dsigma = linalg.dlyap(b, rhs)
+    db = -linalg.rsolve(dgamma1 + b @ dsigma, sigma, name="sigma")
     da = dphi - db
     dc = -dphi @ js.mean + dmean @ (np.eye(k) - phi).T
     return dc, da, db
 
 
-def jacobian_matrix(js, tol=DEFAULT_TOL):
+def jacobian_matrix(js):
     """Full Jacobian, ``(dbar + 2 dbar^2) x (dbar + 3 dbar^2)``.
 
     Columns run over the moment coordinates ``(mean, vec m0, vec m1,
@@ -157,7 +156,7 @@ def jacobian_matrix(js, tol=DEFAULT_TOL):
     k = js.dbar
     basis = np.eye(k + 3 * k * k)
     dm = linalg.unvec(basis[:, k:].reshape(-1, 3, k * k), k, k)
-    dc, da, db = jacobian_action(js, basis[:, :k], dm[:, 0], dm[:, 1], dm[:, 2], tol=tol)
+    dc, da, db = jacobian_action(js, basis[:, :k], dm[:, 0], dm[:, 1], dm[:, 2])
     return np.concatenate([dc, linalg.vec(da), linalg.vec(db)], axis=1).T
 
 
@@ -221,7 +220,7 @@ def _names_from_rows(n_rows):
     return param_names(d)
 
 
-def standard_errors(report, x, bandwidth=None, method="hac-bartlett", tol=DEFAULT_TOL):
+def standard_errors(report, x, bandwidth=None, method="hac-bartlett"):
     """Delta method for ``report = estimate(x)``, on a raw ``x_t`` sample.
 
     The Jacobian is taken at the report's stored state (no refit); ``x``
@@ -235,8 +234,8 @@ def standard_errors(report, x, bandwidth=None, method="hac-bartlett", tol=DEFAUL
     if method == "hac-bartlett":
         psi = hac_psi(a, bandwidth=bandwidth)
     elif method == "spherical-block":
-        psi = spherical_psi(a, js.phi, tol=tol)
+        psi = spherical_psi(a, js.phi)
     else:
         raise InvalidInput(f"unknown psi method {method!r}")
-    jac = jacobian_matrix(js, tol=tol)
+    jac = jacobian_matrix(js)
     return xi(jac, psi, a.shape[0])

@@ -224,6 +224,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _int_list(text):
     try:
         values = [int(part) for part in text.split(",") if part]
@@ -248,14 +255,14 @@ def _build_parser():
                      help="lag identities pooled into Phi (stacked least squares "
                           "when > 1)")
     fit.add_argument("--with-se", action="store_true", dest="with_se")
-    fit.add_argument("--bandwidth", type=int, default=None)
+    fit.add_argument("--bandwidth", type=_nonnegative_int, default=None)
 
     sim = sub.add_parser("simulate", help="simulate a sample path to CSV")
     sim.add_argument("--params", required=True, help="spec JSON file")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--n", type=int, required=True, help="number of observations")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
+    sim.add_argument("--seed", type=_nonnegative_int, default=0)
+    sim.add_argument("--burn-in", type=_nonnegative_int, default=1000, dest="burn_in")
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", parents=[fit],
@@ -280,8 +287,8 @@ def _build_parser():
     mc.add_argument("--reps", type=_positive_int, required=True)
     mc.add_argument("--n", type=_int_list, required=True,
                     help="comma-separated sample sizes")
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
+    mc.add_argument("--seed", type=_nonnegative_int, default=0)
+    mc.add_argument("--burn-in", type=_nonnegative_int, default=1000, dest="burn_in")
     mc.add_argument("--out", help="output CSV path (stdout when omitted)")
     mc.set_defaults(func=cmd_montecarlo)
 

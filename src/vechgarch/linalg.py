@@ -24,8 +24,6 @@ from .exceptions import (
 )
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "EigenDecomposition",
     "vech",
     "unvech",
@@ -47,36 +45,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Central store for the numerical tolerances used by the package.
-
-    Attributes
-    ----------
-    symmetry : float
-        Relative asymmetry allowed when half-vectorising a matrix.
-    lyapunov_rho : float
-        The Lyapunov solver requires ``rho(B) < 1 - lyapunov_rho``.
-    rcond : float
-        Smallest acceptable ratio of extreme singular values before a
-        square matrix counts as singular.
-    unimodular : float
-        Width of the band below 1 that ``rho(B)`` of a solvent must stay out
-        of, which keeps the companion eigenvalues ``(lambda, 1/lambda)`` off
-        the unit circle.
-    gamma_symmetry : float
-        Relative asymmetry of a lag-0 innovation autocovariance above which
-        a warning is recorded.
-    """
-
-    symmetry: float = 1e-12
-    lyapunov_rho: float = 1e-10
-    rcond: float = 1e-13
-    unimodular: float = 1e-8
-    gamma_symmetry: float = 1e-10
-
-
-DEFAULT_TOL = ToleranceConfig()
+# Relative asymmetry up to which ``vech`` and ``cholesky`` accept a matrix,
+# and ``dlyap`` treats a right-hand side, as symmetric.
+_SYMMETRY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,12 +108,16 @@ def mat_dim(dbar):
     return d
 
 
-def vech(m, tol=DEFAULT_TOL):
+def _check_symmetric(a):
+    gap = np.abs(a - a.T).max(initial=0.0)
+    if gap > _SYMMETRY * (1.0 + np.abs(a).max(initial=0.0)):
+        raise InvalidInput(f"matrix is not symmetric (max asymmetry {gap:.3e})")
+
+
+def vech(m):
     """Half-vectorise a symmetric matrix (lower triangle, column by column)."""
     a = _as_square(m)
-    gap = np.abs(a - a.T).max(initial=0.0)
-    if gap > tol.symmetry * (1.0 + np.abs(a).max(initial=0.0)):
-        raise InvalidInput(f"matrix is not symmetric (max asymmetry {gap:.3e})")
+    _check_symmetric(a)
     rows, cols = vech_indices(a.shape[0])
     return a[rows, cols].copy()
 
@@ -214,14 +189,17 @@ def spectral_radius(m):
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def dlyap(b, q, tol=DEFAULT_TOL):
+_LYAPUNOV_MARGIN = 1e-10
+
+
+def dlyap(b, q):
     """Solve the discrete Lyapunov equation ``X - B X B' = Q``.
 
     The equation is vectorised to ``(I - kron(B, B)) vec(X) = vec(Q)`` and
     solved directly, which is exact (up to rounding) and perfectly adequate
     at the matrix sizes this package works with.  Requires
-    ``rho(B) < 1 - tol.lyapunov_rho`` so the operator is invertible with a
-    margin.  A symmetric ``Q`` yields a symmetrised ``X``.
+    ``rho(B) < 1 - 1e-10`` so the operator is invertible with a margin.  A
+    symmetric ``Q`` yields a symmetrised ``X``.
 
     ``Q`` may be a stack ``(..., n, n)`` of right-hand sides; the result is
     the matching stack of solutions.  The spectral-radius check runs once,
@@ -233,51 +211,53 @@ def dlyap(b, q, tol=DEFAULT_TOL):
     if qm.shape[-2:] != bm.shape:
         raise InvalidInput(f"Q must be {bm.shape} like B, got shape {qm.shape}")
     rho = spectral_radius(bm)
-    if rho >= 1.0 - tol.lyapunov_rho:
+    if rho >= 1.0 - _LYAPUNOV_MARGIN:
         raise SingularLyapunov(
-            f"spectral radius {rho:.6g} >= {1.0 - tol.lyapunov_rho:.6g}; "
+            f"spectral radius {rho:.6g} >= {1.0 - _LYAPUNOV_MARGIN:.6g}; "
             "the Lyapunov operator is singular or nearly so"
         )
     n = bm.shape[0]
     op = np.eye(n * n) - np.kron(bm, bm)
     rhs = vec(qm)
     x = unvec(np.linalg.solve(op, rhs.reshape(-1, n * n).T).T.reshape(rhs.shape), n, n)
-    symmetric = asymmetry(qm) <= tol.symmetry
+    symmetric = asymmetry(qm) <= _SYMMETRY
     return np.where(np.expand_dims(symmetric, (-2, -1)), sym(x), x)
 
 
-def cholesky(m, tol=DEFAULT_TOL):
+def cholesky(m):
     """Lower Cholesky factor of a symmetric positive definite matrix."""
     a = _as_square(m)
-    gap = np.abs(a - a.T).max(initial=0.0)
-    if gap > tol.symmetry * (1.0 + np.abs(a).max(initial=0.0)):
-        raise InvalidInput(f"matrix is not symmetric (max asymmetry {gap:.3e})")
+    _check_symmetric(a)
     try:
         return np.linalg.cholesky(sym(a))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
 
 
-def _check_invertible(a, name, tol):
+# Smallest ratio of extreme singular values of a non-singular square matrix.
+_RCOND = 1e-13
+
+
+def _check_invertible(a, name):
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol.rcond * s[0]:
+    if s[0] == 0.0 or s[-1] <= _RCOND * s[0]:
         raise SingularMatrix(
             f"{name} is singular to working precision "
             f"(smallest/largest singular value ratio {0.0 if s[0] == 0 else s[-1] / s[0]:.3e})"
         )
 
 
-def solve(a, b, tol=DEFAULT_TOL, name="matrix"):
+def solve(a, b, name="matrix"):
     """Solve ``A X = B`` for square ``A`` with an explicit singularity check."""
     am = _as_square(a, name)
     bm = np.asarray(b, dtype=float)
     if not np.isfinite(bm).all():
         raise InvalidInput("right-hand side contains non-finite entries")
-    _check_invertible(am, name, tol)
+    _check_invertible(am, name)
     return np.linalg.solve(am, bm)
 
 
-def rsolve(b, a, tol=DEFAULT_TOL, name="matrix"):
+def rsolve(b, a, name="matrix"):
     """Solve ``X A = B`` for square ``A`` (right division ``B A^{-1}``).
 
     ``B`` may be a stack ``(..., p, n)``: ``A`` is checked once and every
@@ -288,12 +268,12 @@ def rsolve(b, a, tol=DEFAULT_TOL, name="matrix"):
     if bm.shape[-1:] != am.shape[:1]:
         raise InvalidInput(f"right-hand side of shape {bm.shape} does not match {name} "
                            f"of shape {am.shape}")
-    _check_invertible(am, name, tol)
+    _check_invertible(am, name)
     rows = bm.reshape(-1, am.shape[0])
     return np.linalg.solve(am.T, rows.T).T.reshape(bm.shape)
 
 
-def lstsq(a, b, tol=DEFAULT_TOL):
+def lstsq(a, b):
     """Minimise ``||X A - B||_F`` over ``X``.
 
     ``A`` is ``q x r`` and ``B`` is ``p x r``; the solution is ``p x q``.

@@ -14,13 +14,13 @@ covariance ``Sigma`` is a free input at the population level.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .exceptions import InvalidInput, NonStationary
-from .linalg import DEFAULT_TOL
 
 __all__ = [
     "GarchSpec",
@@ -59,8 +59,8 @@ class GarchSpec:
     B: np.ndarray
 
     def __post_init__(self):
-        if int(self.d) < 1:
-            raise InvalidInput(f"d must be a positive integer, got {self.d}")
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            raise InvalidInput(f"d must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
         k = linalg.vech_dim(self.d)
         object.__setattr__(self, "c", _as_float_array(self.c, (k,), "c"))
@@ -86,6 +86,8 @@ class GarchSpec:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise InvalidInput(f"spec JSON must be an object, got {type(data).__name__}")
         try:
             return cls(d=data["d"], c=data["c"], A=data["A"], B=data["B"])
         except KeyError as exc:
@@ -145,7 +147,7 @@ class Diagnostics:
         }
 
 
-def uncond_h(spec, tol=DEFAULT_TOL):
+def uncond_h(spec):
     """Unconditional mean ``h = (I - Phi)^{-1} c`` of ``vech(H_t)``.
 
     Requires a stationary spec, i.e. ``rho(A + B) < 1``.
@@ -154,10 +156,10 @@ def uncond_h(spec, tol=DEFAULT_TOL):
     rho = linalg.spectral_radius(p)
     if rho >= 1.0:
         raise NonStationary(f"spectral radius of A + B is {rho:.6g} >= 1")
-    return linalg.solve(np.eye(spec.dbar) - p, spec.c, tol=tol, name="I - Phi")
+    return linalg.solve(np.eye(spec.dbar) - p, spec.c, name="I - Phi")
 
 
-def population_moments(spec, sigma, tol=DEFAULT_TOL):
+def population_moments(spec, sigma):
     """Exact moments implied by ``spec`` and an innovation covariance.
 
     Parameters
@@ -183,19 +185,19 @@ def population_moments(spec, sigma, tol=DEFAULT_TOL):
     s = np.asarray(sigma, dtype=float)
     if s.shape != (spec.dbar, spec.dbar):
         raise InvalidInput(f"sigma must have shape {(spec.dbar, spec.dbar)}, got {s.shape}")
-    linalg.cholesky(s, tol=tol)  # raises NotPositiveDefinite / InvalidInput
+    linalg.cholesky(s)  # raises NotPositiveDefinite / InvalidInput
     p = spec.phi
-    h = uncond_h(spec, tol=tol)
+    h = uncond_h(spec)
     gamma0 = s + spec.B @ s @ spec.B.T
     gamma1 = -spec.B @ s
     q = gamma0 + gamma1 @ p.T + p @ gamma1.T
-    m0 = linalg.dlyap(p, q, tol=tol)
+    m0 = linalg.dlyap(p, q)
     m1 = gamma1 + p @ m0
     m2 = p @ m1
     return MomentSet(mean=h, m0=m0, m1=m1, m2=m2)
 
 
-def diagnostics(spec, tol=DEFAULT_TOL):
+def diagnostics(spec):
     """Stationarity, invertibility and positivity flags for a spec.
 
     Never raises: every failed check is reported as a flag plus a warning
@@ -216,8 +218,8 @@ def diagnostics(spec, tol=DEFAULT_TOL):
         diag.note("noninvertible", f"rho(B) = {rho_b:.6g} >= 1")
     if diag.stationary:
         try:
-            h = uncond_h(spec, tol=tol)
-            linalg.cholesky(linalg.unvech(h), tol=tol)
+            h = uncond_h(spec)
+            linalg.cholesky(linalg.unvech(h))
             diag.h_positive = True
         except Exception as exc:
             diag.note("h_not_pd", f"unvech(h) is not positive definite: {exc}")

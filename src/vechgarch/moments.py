@@ -21,7 +21,6 @@ import numpy as np
 
 from . import linalg
 from .exceptions import InsufficientData, InvalidInput
-from .linalg import DEFAULT_TOL
 from .model import MomentSet
 
 __all__ = [
@@ -219,7 +218,7 @@ def hac_psi(x, bandwidth=None):
     return PsiEstimate(psi=psi, bandwidth=int(bandwidth), method="hac-bartlett", clipped=clipped)
 
 
-def spherical_cov_h(ms, phi, tol=DEFAULT_TOL):
+def spherical_cov_h(ms, phi):
     """Closed-form long-run covariance of the sample mean of ``x_t``.
 
     Valid when the innovation sequence is a martingale difference with
@@ -234,11 +233,11 @@ def spherical_cov_h(ms, phi, tol=DEFAULT_TOL):
     if p.shape != (k, k):
         raise InvalidInput(f"phi must have shape {(k, k)}, got {p.shape}")
     eye = np.eye(k)
-    lead = linalg.solve(eye - p, ms.m1, tol=tol, name="I - Phi")
+    lead = linalg.solve(eye - p, ms.m1, name="I - Phi")
     return ms.m0 + lead + lead.T
 
 
-def spherical_psi(x, phi, tol=DEFAULT_TOL):
+def spherical_psi(x, phi):
     """Block-diagonal long-run covariance for spherical innovations.
 
     The mean block uses :func:`spherical_cov_h`; the autocovariance block
@@ -257,7 +256,7 @@ def spherical_psi(x, phi, tol=DEFAULT_TOL):
     lagged -= lagged.mean(axis=1, keepdims=True)
     m_block = lagged @ lagged.T / lagged.shape[1]
     psi = np.zeros((k + 3 * k * k, k + 3 * k * k))
-    psi[:k, :k] = spherical_cov_h(ms, phi, tol=tol)
+    psi[:k, :k] = spherical_cov_h(ms, phi)
     psi[k:, k:] = m_block
     psi, clipped = _clip_psd(psi)
     return PsiEstimate(psi=psi, bandwidth=0, method="spherical-block", clipped=clipped)

@@ -28,7 +28,6 @@ from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .exceptions import InvalidInput, PositivityViolation
-from .linalg import DEFAULT_TOL
 
 __all__ = ["SimulationResult", "simulate", "to_x", "write_returns_csv", "read_returns_csv"]
 
@@ -48,7 +47,7 @@ class SimulationResult:
     burn_in: int
 
 
-def simulate(spec, n, seed, burn_in=1000, tol=DEFAULT_TOL):
+def simulate(spec, n, seed, burn_in=1000):
     """Simulate ``n`` observations from a stationary spec.
 
     Parameters
@@ -59,7 +58,7 @@ def simulate(spec, n, seed, burn_in=1000, tol=DEFAULT_TOL):
     n : int
         Number of retained observations.
     seed : int
-        Seed for the Philox bit generator.
+        Non-negative seed for the Philox bit generator.
     burn_in : int, optional
         Warm-up length, 1000 by default.
 
@@ -73,7 +72,7 @@ def simulate(spec, n, seed, burn_in=1000, tol=DEFAULT_TOL):
         If some conditional covariance fails to be positive definite; the
         exception carries the zero-based recursion step (burn-in included).
     """
-    y, h_path, fail = _simulate_paths(spec, n, [seed], burn_in=burn_in, tol=tol)
+    y, h_path, fail = _simulate_paths(spec, n, [seed], burn_in=burn_in)
     step = int(fail[0])
     if step < burn_in + n:
         if spec.d == 1:
@@ -85,7 +84,7 @@ def simulate(spec, n, seed, burn_in=1000, tol=DEFAULT_TOL):
                             burn_in=burn_in)
 
 
-def _simulate_paths(spec, n, seeds, burn_in, tol=DEFAULT_TOL):
+def _simulate_paths(spec, n, seeds, burn_in):
     """Run :func:`simulate` for several seeds through one stacked recursion.
 
     Each seed draws its own noise block exactly as ``simulate`` does, so
@@ -101,9 +100,11 @@ def _simulate_paths(spec, n, seeds, burn_in, tol=DEFAULT_TOL):
         raise InvalidInput(f"n must be positive, got {n}")
     if burn_in < 0:
         raise InvalidInput(f"burn_in must be >= 0, got {burn_in}")
+    if min(seeds) < 0:
+        raise InvalidInput(f"seed must be >= 0, got {min(seeds)}")
     from .model import uncond_h  # local import to avoid a cycle at import time
 
-    h0 = uncond_h(spec, tol=tol)
+    h0 = uncond_h(spec)
     total = burn_in + n
     eps = np.empty((total, len(seeds), spec.d))
     for r, seed in enumerate(seeds):
@@ -234,7 +235,10 @@ def read_returns_csv(path):
         expected = [f"y{i + 1}" for i in range(len(names))]
         if not names or names != expected:
             raise InvalidInput(f"CSV header must be y1,...,yd, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidInput(f"cannot read returns from {path}: {exc}") from exc
     if data.size == 0:
         raise InvalidInput("CSV contains no data rows")
     if data.shape[1] != len(names):

@@ -35,7 +35,6 @@ from .exceptions import (
     UnimodularEigenvalues,
     VechGarchError,
 )
-from .linalg import DEFAULT_TOL
 from .model import GarchSpec, MomentSet, diagnostics
 from .moments import sample_autocovariances, sample_moments
 
@@ -152,10 +151,10 @@ def _complex_list(values):
     return [{"re": float(v.real), "im": float(v.imag)} for v in np.asarray(values)]
 
 
-def gammas(ms, tol=DEFAULT_TOL):
+def gammas(ms):
     """Build the lag-1 :class:`GammaState` of a moment set: ``Phi`` solves
     ``Phi m1 = m2`` exactly."""
-    return _gamma_state(ms, _estimate_phi(ms, None, tol))
+    return _gamma_state(ms, _estimate_phi(ms, None))
 
 
 def _gamma_state(ms, phi):
@@ -164,11 +163,11 @@ def _gamma_state(ms, phi):
     return GammaState(phi=phi, gamma0=g0, gamma1=g1)
 
 
-def _estimate_phi(ms, extra_covs, tol):
+def _estimate_phi(ms, extra_covs):
     if extra_covs:
-        return phi_lstsq([ms.m1, ms.m2, *extra_covs], tol=tol)
+        return phi_lstsq([ms.m1, ms.m2, *extra_covs])
     try:
-        return linalg.rsolve(ms.m2, ms.m1, tol=tol, name="m1")
+        return linalg.rsolve(ms.m2, ms.m1, name="m1")
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"{exc}; pooling lags > 1 by stacked least squares handles singular "
@@ -176,7 +175,7 @@ def _estimate_phi(ms, extra_covs, tol):
         ) from exc
 
 
-def phi_lstsq(covs, tol=DEFAULT_TOL):
+def phi_lstsq(covs):
     """Least-squares ``Phi`` over stacked lag identities.
 
     ``covs`` is ``[m1, m2, ..., m_{K+1}]``; the result minimises
@@ -186,10 +185,10 @@ def phi_lstsq(covs, tol=DEFAULT_TOL):
     """
     if len(covs) < 2:
         raise InvalidInput("need at least two autocovariances (m1 and m2)")
-    return linalg.lstsq(np.hstack(covs[:-1]), np.hstack(covs[1:]), tol=tol)
+    return linalg.lstsq(np.hstack(covs[:-1]), np.hstack(covs[1:]))
 
 
-def build_p(gs, tol=DEFAULT_TOL):
+def build_p(gs):
     """Companion matrix of the palindromic quadratic.
 
     ``P = [[0, I], [-gamma1^{-1} gamma1', -gamma1^{-1} gamma0]]`` whose
@@ -200,8 +199,7 @@ def build_p(gs, tol=DEFAULT_TOL):
     """
     k = gs.dbar
     try:
-        lower = linalg.solve(gs.gamma1, np.hstack([gs.gamma1.T, gs.gamma0]), tol=tol,
-                             name="gamma1")
+        lower = linalg.solve(gs.gamma1, np.hstack([gs.gamma1.T, gs.gamma0]), name="gamma1")
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"{exc}; a singular lag-1 innovation autocovariance (for instance "
@@ -221,19 +219,22 @@ def pme_residual(gs, b):
     return float(np.linalg.norm(res))
 
 
-def nme_residual(gs, sigma, tol=DEFAULT_TOL):
+def nme_residual(gs, sigma):
     """Frobenius residual of ``gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'``."""
-    inv_term = linalg.solve(np.asarray(sigma, dtype=float), gs.gamma1.T, tol=tol,
-                            name="sigma")
+    inv_term = linalg.solve(np.asarray(sigma, dtype=float), gs.gamma1.T, name="sigma")
     res = gs.gamma0 - sigma - gs.gamma1 @ inv_term
     return float(np.linalg.norm(res))
 
 
-# Cyclic reduction squares its decaying blocks at every step, so 32 steps
-# reach convergence for any rho(B) up to 1 - 1e-8, the default unimodular
-# band.  With eigenvalues on the unit circle the blocks stall, or decay only
+# A solvent must keep rho(B) below 1 - _UNIMODULAR_BAND, which keeps the
+# companion eigenvalues (lambda, 1/lambda) off the unit circle.  The two
+# constants are one decision: cyclic reduction squares its decaying blocks at
+# every step, so 32 steps reach convergence for any rho(B) up to 1 - 1e-8,
+# and a narrower band would change nothing because the cap refuses first.
+# With eigenvalues on the unit circle the blocks stall, or decay only
 # linearly and meet the stopping test late (after 53 or more steps on sample
 # states), so the cap refuses them.
+_UNIMODULAR_BAND = 1e-8
 _CR_MAX_STEPS = 32
 
 
@@ -244,7 +245,7 @@ def _no_stable_solvent(why):
     )
 
 
-def solve_b(gs, tol=DEFAULT_TOL):
+def solve_b(gs):
     """Stable solvent of the palindromic quadratic, by cyclic reduction.
 
     Meini's cyclic reduction on ``gamma1' + gamma0 G + gamma1 G^2 = 0`` with
@@ -266,7 +267,7 @@ def solve_b(gs, tol=DEFAULT_TOL):
     ------
     UnimodularEigenvalues
         If the recursion has not converged after ``_CR_MAX_STEPS`` steps,
-        ``A_0`` turns singular, or ``rho(B) >= 1 - tol.unimodular``: the
+        ``A_0`` turns singular, or ``rho(B) >= 1 - _UNIMODULAR_BAND``: the
         quadratic then has eigenvalues on (or within the band of) the unit
         circle, where no stable/anti-stable split exists.
     """
@@ -289,12 +290,12 @@ def solve_b(gs, tol=DEFAULT_TOL):
     else:
         raise _no_stable_solvent(
             f"cyclic reduction did not converge in {_CR_MAX_STEPS} steps")
-    b = linalg.rsolve(-gs.gamma1, linalg.sym(a_hat), tol=tol, name="Sigma")
+    b = linalg.rsolve(-gs.gamma1, linalg.sym(a_hat), name="Sigma")
     values = np.linalg.eigvals(b).astype(complex)
     values = values[np.argsort(np.abs(values), kind="stable")]
     rho = float(np.abs(values[-1]))
-    if rho >= 1.0 - tol.unimodular:
-        raise _no_stable_solvent(f"rho(B) = {rho:.10g} is within {tol.unimodular:g} of 1")
+    if rho >= 1.0 - _UNIMODULAR_BAND:
+        raise _no_stable_solvent(f"rho(B) = {rho:.10g} is within {_UNIMODULAR_BAND:g} of 1")
     reciprocals = np.full(k, np.inf, dtype=complex)
     nonzero = values != 0
     reciprocals[nonzero] = 1.0 / values[nonzero]
@@ -306,7 +307,7 @@ def solve_b(gs, tol=DEFAULT_TOL):
     )
 
 
-def recover_sigma(b, gs, tol=DEFAULT_TOL):
+def recover_sigma(b, gs):
     """Innovation covariance ``Sigma = gamma0 + gamma1 B'``.
 
     This is the equation ``gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'``
@@ -322,14 +323,14 @@ def recover_sigma(b, gs, tol=DEFAULT_TOL):
     sigma = linalg.sym(raw)
     notes = []
     try:
-        linalg.cholesky(sigma, tol=tol)
+        linalg.cholesky(sigma)
     except (NotPositiveDefinite, InvalidInput):
         notes.append({
             "code": "sigma_not_pd",
             "message": "recovered Sigma is not positive definite",
         })
     try:
-        residual = nme_residual(gs, sigma, tol=tol)
+        residual = nme_residual(gs, sigma)
     except SingularMatrix:
         residual = float("inf")
         notes.append({
@@ -349,7 +350,7 @@ def _run_stage(name, fn, *args, **kwargs):
         raise
 
 
-def estimate(data, lags=1, tol=DEFAULT_TOL):
+def estimate(data, lags=1):
     """Closed-form estimation of (c, A, B, Sigma) from data or moments.
 
     Parameters
@@ -362,8 +363,6 @@ def estimate(data, lags=1, tol=DEFAULT_TOL):
         Number ``K`` of lag identities ``m_{k+1} = Phi m_k`` behind ``Phi``:
         ``1`` gives ``m2 m1^{-1}``, ``K > 1`` pools ``k = 1..K`` by stacked
         least squares (:func:`phi_lstsq`) and requires raw data.
-    tol : ToleranceConfig
-        Tolerances; ``rho(B)`` must stay below ``1 - tol.unimodular`` (:func:`solve_b`).
 
     Returns
     -------
@@ -394,27 +393,31 @@ def estimate(data, lags=1, tol=DEFAULT_TOL):
         else:
             ms = _run_stage("moments", sample_moments, x)
     linalg.mat_dim(ms.dbar)  # validates the vech width
-    phi_hat = _run_stage("gammas", _estimate_phi, ms, extra, tol)
-    report = _solve(_gamma_state(ms, phi_hat), ms.mean, tol)
+    phi_hat = _run_stage("gammas", _estimate_phi, ms, extra)
+    report = _solve(_gamma_state(ms, phi_hat), ms.mean)
     return replace(report, moments=ms,
                    phi_departure=f"pools {lags} lag identities" if pooled else None)
 
 
-def _solve(gs, mean, tol):
+# Relative asymmetry of gamma0 above which its symmetrisation is noted.
+_GAMMA_SYMMETRY = 1e-10
+
+
+def _solve(gs, mean):
     """(GammaState, mean) -> EstimateReport, for estimation and aggregation."""
     notes = []
-    if gs.gamma0_asymmetry > tol.gamma_symmetry:
+    if gs.gamma0_asymmetry > _GAMMA_SYMMETRY:
         notes.append({
             "code": "gamma0_symmetrized",
             "message": f"gamma0 symmetrised (relative asymmetry "
                        f"{gs.gamma0_asymmetry:.3e})",
         })
-    sol = _run_stage("solve_b", solve_b, gs, tol=tol)
-    rec = _run_stage("sigma", recover_sigma, sol.b, gs, tol=tol)
+    sol = _run_stage("solve_b", solve_b, gs)
+    rec = _run_stage("sigma", recover_sigma, sol.b, gs)
     k = gs.dbar
     spec = GarchSpec(d=linalg.mat_dim(k), c=(np.eye(k) - gs.phi) @ mean,
                      A=gs.phi - sol.b, B=sol.b)
-    diag = diagnostics(spec, tol=tol)
+    diag = diagnostics(spec)
     diag.warnings = notes + rec.warnings + diag.warnings
     return EstimateReport(
         spec=spec,

@@ -185,6 +185,15 @@ def test_estimate_bad_header_is_exit_1(tmp_path, capsys):
     assert run_cli("estimate", "--data", data) == 1
 
 
+def test_estimate_non_numeric_csv_is_exit_1(tmp_path, capsys):
+    data = tmp_path / "text.csv"
+    data.write_text("y1,y2\n0.1,0.2\n0.3,abc\n")
+    assert run_cli("estimate", "--data", data) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read returns from ")
+    assert str(data) in err
+
+
 def test_estimate_missing_file_is_exit_1(tmp_path):
     assert run_cli("estimate", "--data", tmp_path / "nope.csv") == 1
 
@@ -194,6 +203,30 @@ def test_bad_json_is_exit_1(tmp_path, capsys):
     spec.write_text("{not json")
     assert run_cli("simulate", "--params", spec, "--out", tmp_path / "y.csv",
                    "--n", 10) == 1
+
+
+@pytest.mark.parametrize("spec", [dict(SCALAR_SPEC, d=1.9), [1, 2]],
+                         ids=["fractional_d", "not_an_object"])
+def test_malformed_spec_is_exit_1(tmp_path, spec, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "y.csv"
+    assert run_cli("simulate", "--params", path, "--out", out, "--n", 10) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--seed"), ("simulate", "--burn-in"),
+    ("montecarlo", "--seed"), ("montecarlo", "--burn-in"), ("montecarlo", "--bandwidth")])
+def test_negative_count_option_is_exit_1(command, option, tmp_path, spec_file, capsys):
+    # Refused while parsing: montecarlo would otherwise mark every row
+    # InvalidInput and exit 0.
+    out = tmp_path / "out.csv"
+    sizes = ("--n", 10) if command == "simulate" else ("--reps", 2, "--n", 400)
+    assert run_cli(command, "--params", spec_file, "--out", out, *sizes, option, -1) == 1
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_aggregate_stock_scalar(tmp_path, capsys):

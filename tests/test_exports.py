@@ -1,13 +1,15 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and no export takes a tolerance knob.
 
 A name deleted from a module but left in its ``__all__`` breaks only
 ``from vechgarch.<module> import *``, and one left in the package's
 ``__init__.py`` imports breaks ``import vechgarch``; both should fail this
-suite by name rather than surprise a user.
+suite by name rather than surprise a user.  Tolerances are private module
+constants beside the code that reads them, not parameters.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,22 @@ def test_package_imports_resolve():
             assert alias.name in getattr(source, "__all__", [alias.name]), \
                 f"{alias.name} is not in vechgarch.{node.module}.__all__"
             assert getattr(vechgarch, alias.asname or alias.name) is getattr(source, alias.name)
+
+
+def _functions(obj):
+    """``obj`` when it is a function, else the functions and methods of a class."""
+    if inspect.isfunction(obj):
+        return [obj]
+    if inspect.isclass(obj):
+        return [f for f in (getattr(v, "__func__", v) for v in vars(obj).values())
+                if inspect.isfunction(f)]
+    return []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_export_takes_a_tol_parameter(name):
+    module = importlib.import_module(f"vechgarch.{name}")
+    found = [f.__qualname__ for export in getattr(module, "__all__", [])
+             for f in _functions(getattr(module, export))
+             if "tol" in inspect.signature(f).parameters]
+    assert found == []

@@ -16,6 +16,12 @@ def test_spec_validation():
         vg.GarchSpec(d=2, c=[0.1, 0.1], A=np.eye(3) * 0.1, B=np.eye(3) * 0.1)
     with pytest.raises(InvalidInput):
         vg.GarchSpec(d=1, c=[np.nan], A=[[0.1]], B=[[0.1]])
+    # d must be an integer, not truncated to one; numpy integers count.
+    for d in (1.9, 1.0, "1"):
+        with pytest.raises(InvalidInput, match="d must be a positive integer"):
+            vg.GarchSpec(d=d, c=[0.1], A=[[0.1]], B=[[0.1]])
+    spec = vg.GarchSpec(d=np.int64(1), c=[0.1], A=[[0.1]], B=[[0.1]])
+    assert type(spec.d) is int and spec.d == 1
 
 
 def test_spec_json_round_trip(ref_spec_d2):
@@ -28,6 +34,9 @@ def test_spec_json_round_trip(ref_spec_d2):
     assert_allclose(back.B, ref_spec_d2.B)
     with pytest.raises(InvalidInput):
         vg.GarchSpec.from_json({"d": 1, "c": [0.1]})
+    for bad in ([1, 2], "spec", None):
+        with pytest.raises(InvalidInput, match="spec JSON must be an object"):
+            vg.GarchSpec.from_json(bad)
 
 
 def test_phi_is_a_plus_b(ref_spec_d2):

@@ -206,6 +206,10 @@ def test_input_validation(ref_spec_d1):
         simulate(ref_spec_d1, 0, seed=1)
     with pytest.raises(InvalidInput):
         simulate(ref_spec_d1, 10, seed=1, burn_in=-1)
+    with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+        simulate(ref_spec_d1, 10, seed=-1)
+    with pytest.raises(InvalidInput, match="seed must be >= 0, got -3"):
+        _simulate_paths(ref_spec_d1, 10, [4, -3, 5], burn_in=10)
     bad = vg.GarchSpec(d=1, c=[0.1], A=[[0.6]], B=[[0.6]])
     with pytest.raises(NonStationary):
         simulate(bad, 10, seed=1)

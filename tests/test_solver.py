@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import vechgarch as vg
-from vechgarch import linalg
+from vechgarch import linalg, solver
 from vechgarch.exceptions import (
     InsufficientData,
     InvalidInput,
@@ -201,12 +201,14 @@ def test_unimodular_band_raises():
         solve_b(gs3)
 
 
-def test_unimodular_band_is_configurable():
+def test_unimodular_band_is_fixed():
     b, sigma = np.array([[0.98]]), np.array([[1.0]])
-    gs = gamma_state_of(b, sigma)
-    assert_allclose(solve_b(gs).b, b, rtol=1e-10)
-    with pytest.raises(UnimodularEigenvalues, match="within 0.05"):
-        solve_b(gs, tol=linalg.ToleranceConfig(unimodular=0.05))
+    assert_allclose(solve_b(gamma_state_of(b, sigma)).b, b, rtol=1e-10)
+    # gamma0 = 1 + b^2, gamma1 = -b with b = 1 - 1e-9: cyclic reduction
+    # converges and the band check refuses the solvent.
+    near = gamma_state_of(np.array([[1.0 - 1e-9]]), sigma)
+    with pytest.raises(UnimodularEigenvalues, match="within 1e-08 of 1"):
+        solve_b(near)
 
 
 def test_recover_sigma_zero_b():
@@ -231,7 +233,7 @@ def test_refusals_match_the_companion_spectrum(ref_spec_d1, ref_spec_d2):
     # Small-sample states on both sides of the identifiable region: solve_b
     # refuses exactly where the companion spectrum of build_p has a modulus
     # within the unimodular band, and elsewhere reports that spectrum.
-    band = linalg.DEFAULT_TOL.unimodular
+    band = solver._UNIMODULAR_BAND
     refused = accepted = 0
     for spec, n, seeds in ((ref_spec_d1, 200, range(1000, 1150)),
                            (ref_spec_d2, 400, range(1000, 1060))):
