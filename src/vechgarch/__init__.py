@@ -56,8 +56,6 @@ from .moments import (
     hac_psi,
     sample_autocovariances,
     sample_moments,
-    spherical_cov_h,
-    spherical_psi,
 )
 from .simulate import SimulationResult, simulate, to_x
 from .solver import (

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import linalg
 from .exceptions import InvalidInput
 from .model import MomentSet
-from .moments import PsiEstimate, hac_psi, spherical_psi
+from .moments import PsiEstimate, hac_psi
 from .solver import estimate
 
 __all__ = [
@@ -79,7 +79,6 @@ class AsymptoticReport:
     xi: np.ndarray
     std_errors: np.ndarray
     param_names: list
-    psi_method: str
     bandwidth: int
     n: int
     clipped: bool
@@ -90,7 +89,7 @@ class AsymptoticReport:
             "std_errors": {name: float(se)
                            for name, se in zip(self.param_names, self.std_errors)},
             "xi": self.xi.tolist(),
-            "psi_method": self.psi_method,
+            "psi_method": "hac-bartlett",
             "bandwidth": int(self.bandwidth),
             "n": int(self.n),
             "clipped": bool(self.clipped),
@@ -172,40 +171,31 @@ def param_names(d):
 def xi(jac, psi, n):
     """Parameter covariance ``Xi = J Psi J'`` and standard errors.
 
-    ``psi`` may be a :class:`~vechgarch.moments.PsiEstimate` or a bare
-    matrix; ``n`` is the sample size behind the moment estimates.  Negative
-    eigenvalues of the product (possible after clipping or with a rank
-    deficient ``Psi``) are clipped at zero and flagged.
+    ``psi`` is a :class:`~vechgarch.moments.PsiEstimate`; ``n`` is the
+    sample size behind the moment estimates.  Negative eigenvalues of the
+    product (rounding of a rank deficient ``J Psi J'``) are clipped at zero,
+    and ``clipped`` reports whether that happened.
     """
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
+    if not isinstance(psi, PsiEstimate):
+        raise InvalidInput(f"psi must be a PsiEstimate, got {type(psi).__name__}")
     j = np.asarray(jac, dtype=float)
-    if isinstance(psi, PsiEstimate):
-        psi_matrix = psi.psi
-        method = psi.method
-        bandwidth = psi.bandwidth
-        clipped = psi.clipped
-    else:
-        psi_matrix = np.asarray(psi, dtype=float)
-        method = "external"
-        bandwidth = 0
-        clipped = False
-    if psi_matrix.shape != (j.shape[1], j.shape[1]):
+    if psi.psi.shape != (j.shape[1], j.shape[1]):
         raise InvalidInput(
-            f"psi has shape {psi_matrix.shape}, expected {(j.shape[1], j.shape[1])}"
+            f"psi has shape {psi.psi.shape}, expected {(j.shape[1], j.shape[1])}"
         )
-    prod = linalg.sym(j @ psi_matrix @ j.T)
+    prod = linalg.sym(j @ psi.psi @ j.T)
     values, vectors = np.linalg.eigh(prod)
-    if values.min() < 0.0:
+    clipped = bool(values.min() < 0.0)
+    if clipped:
         prod = linalg.sym(vectors @ np.diag(np.clip(values, 0.0, None)) @ vectors.T)
-        clipped = True
     se = np.sqrt(np.clip(np.diag(prod), 0.0, None) / n)
     return AsymptoticReport(
         xi=prod,
         std_errors=se,
         param_names=_names_from_rows(j.shape[0]),
-        psi_method=method,
-        bandwidth=bandwidth,
+        bandwidth=psi.bandwidth,
         n=int(n),
         clipped=clipped,
     )
@@ -220,22 +210,16 @@ def _names_from_rows(n_rows):
     return param_names(d)
 
 
-def standard_errors(report, x, bandwidth=None, method="hac-bartlett"):
+def standard_errors(report, x, bandwidth=None):
     """Delta method for ``report = estimate(x)``, on a raw ``x_t`` sample.
 
     The Jacobian is taken at the report's stored state (no refit); ``x``
-    gives the long-run covariance.  Raises ``InvalidInput`` for a report
-    without moments, or whose ``Phi`` pools lags.
+    gives the long-run covariance through :func:`~vechgarch.moments.hac_psi`.
+    Raises ``InvalidInput`` for a report without moments, or whose ``Phi``
+    pools lags.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise InvalidInput(f"x must be an n x dbar matrix, got shape {a.shape}")
     js = JacobianState._from_report(report)
-    if method == "hac-bartlett":
-        psi = hac_psi(a, bandwidth=bandwidth)
-    elif method == "spherical-block":
-        psi = spherical_psi(a, js.phi)
-    else:
-        raise InvalidInput(f"unknown psi method {method!r}")
-    jac = jacobian_matrix(js)
-    return xi(jac, psi, a.shape[0])
+    return xi(jacobian_matrix(js), hac_psi(a, bandwidth=bandwidth), a.shape[0])

@@ -35,8 +35,11 @@ __all__ = [
 
 
 def _as_float_array(value, shape, name):
-    a = np.asarray(value, dtype=float)
-    if a.shape != shape:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be an array of numbers: {exc}") from exc
+    if shape is not None and a.shape != shape:
         raise InvalidInput(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains non-finite entries")
@@ -108,14 +111,13 @@ class MomentSet:
     m2: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = _as_float_array(self.mean, None, "mean")
         if mean.ndim != 1:
             raise InvalidInput(f"mean must be one-dimensional, got shape {mean.shape}")
         k = mean.shape[0]
-        object.__setattr__(self, "mean", _as_float_array(mean, (k,), "mean"))
-        object.__setattr__(self, "m0", _as_float_array(self.m0, (k, k), "m0"))
-        object.__setattr__(self, "m1", _as_float_array(self.m1, (k, k), "m1"))
-        object.__setattr__(self, "m2", _as_float_array(self.m2, (k, k), "m2"))
+        object.__setattr__(self, "mean", mean)
+        for name in ("m0", "m1", "m2"):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), (k, k), name))
 
     @property
     def dbar(self):

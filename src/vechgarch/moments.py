@@ -7,19 +7,18 @@ process
 
     g_t = (x_t, vec(z_t z_t'), vec(z_{t+1} z_t'), vec(z_{t+2} z_t')),
 
-where ``z_t = x_t - mean`` and ``vec`` stacks columns.  The default is a
-Bartlett-kernel HAC estimate; a block-diagonal alternative tailored to
-spherically distributed innovations is also provided.
+where ``z_t = x_t - mean`` and ``vec`` stacks columns.  The estimate is the
+Bartlett-kernel (Newey-West) HAC.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .exceptions import InsufficientData, InvalidInput
 from .model import MomentSet
 
@@ -29,8 +28,6 @@ __all__ = [
     "sample_autocovariances",
     "default_bandwidth",
     "hac_psi",
-    "spherical_cov_h",
-    "spherical_psi",
 ]
 
 
@@ -38,15 +35,12 @@ __all__ = [
 class PsiEstimate:
     """Long-run covariance of the stacked moment process.
 
-    ``psi`` is symmetric positive semidefinite by construction: negative
-    eigenvalues left by the kernel sum are clipped at zero and the
-    ``clipped`` flag records whether that happened.
+    ``psi`` is symmetric positive semidefinite by construction: it is a Gram
+    product of moving sums (:func:`hac_psi`).
     """
 
     psi: np.ndarray
     bandwidth: int
-    method: str
-    clipped: bool
 
 
 def _as_sample(x):
@@ -56,6 +50,11 @@ def _as_sample(x):
     if not np.isfinite(a).all():
         raise InvalidInput("x contains non-finite entries")
     return a
+
+
+def _check_count(value, name):
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def sample_moments(x):
@@ -82,8 +81,7 @@ def sample_autocovariances(x, max_lag):
     """List ``[m0, ..., m_max_lag]`` with divisor ``n - k`` at lag ``k``."""
     a = _as_sample(x)
     n = a.shape[0]
-    if max_lag < 0:
-        raise InvalidInput(f"max_lag must be >= 0, got {max_lag}")
+    _check_count(max_lag, "max_lag")
     if n < max_lag + 2:
         raise InsufficientData(f"need at least {max_lag + 2} observations, got {n}")
     return _autocovariances(a - a.mean(axis=0), max_lag)
@@ -148,14 +146,6 @@ def _stacked_process(a, lead=0, trail=0):
     return buf
 
 
-def _clip_psd(m):
-    values, vectors = np.linalg.eigh(linalg.sym(m))
-    if values.min() >= 0.0:
-        return linalg.sym(m), False
-    clipped = vectors @ np.diag(np.clip(values, 0.0, None)) @ vectors.T
-    return linalg.sym(clipped), True
-
-
 def hac_psi(x, bandwidth=None):
     """Bartlett-kernel HAC estimate of the long-run covariance of ``g_t``.
 
@@ -175,7 +165,8 @@ def hac_psi(x, bandwidth=None):
     ``c_j``, and ``s_j = c_{j+w} - c_j`` overwrites ``c_j`` in forward
     steps of :data:`_BOX_BLOCK` columns.  ``Psi`` is then one Gram product
     of the first ``n_g + w - 1`` columns, and the memory peak is about one
-    ``g``.
+    ``g``.  As a Gram product, ``Psi`` is symmetric positive semidefinite
+    without repair (Newey & West 1987).
 
     Parameters
     ----------
@@ -187,14 +178,12 @@ def hac_psi(x, bandwidth=None):
     Returns
     -------
     PsiEstimate
-        With ``method == "hac-bartlett"``.
     """
     a = _as_sample(x)
     n = a.shape[0]
     if bandwidth is None:
         bandwidth = default_bandwidth(n)
-    if bandwidth < 0:
-        raise InvalidInput(f"bandwidth must be >= 0, got {bandwidth}")
+    _check_count(bandwidth, "bandwidth")
     if n <= 10 * max(bandwidth, 1):
         raise InsufficientData(
             f"need more than {10 * max(bandwidth, 1)} observations for bandwidth "
@@ -214,49 +203,4 @@ def hac_psi(x, bandwidth=None):
         e = min(j + _BOX_BLOCK, windows)
         np.subtract(buf[:, j + w : e + w], buf[:, j:e], out=buf[:, j:e])
     box = buf[:, :windows]
-    psi, clipped = _clip_psd(box @ box.T / (n_g * w))
-    return PsiEstimate(psi=psi, bandwidth=int(bandwidth), method="hac-bartlett", clipped=clipped)
-
-
-def spherical_cov_h(ms, phi):
-    """Closed-form long-run covariance of the sample mean of ``x_t``.
-
-    Valid when the innovation sequence is a martingale difference with
-    spherically distributed shocks, in which case the VARMA structure gives
-
-        Cov = m0 + (I - Phi)^{-1} m1 + m1' (I - Phi')^{-1}.
-    """
-    if not isinstance(ms, MomentSet):
-        raise InvalidInput("ms must be a MomentSet")
-    p = np.asarray(phi, dtype=float)
-    k = ms.dbar
-    if p.shape != (k, k):
-        raise InvalidInput(f"phi must have shape {(k, k)}, got {p.shape}")
-    eye = np.eye(k)
-    lead = linalg.solve(eye - p, ms.m1, name="I - Phi")
-    return ms.m0 + lead + lead.T
-
-
-def spherical_psi(x, phi):
-    """Block-diagonal long-run covariance for spherical innovations.
-
-    The mean block uses :func:`spherical_cov_h`; the autocovariance block
-    is the plain (lag-0) sample covariance of the stacked outer-product
-    process; the cross block is zero by construction.
-
-    Returns
-    -------
-    PsiEstimate
-        With ``method == "spherical-block"``.
-    """
-    a = _as_sample(x)
-    k = a.shape[1]
-    ms = sample_moments(a)
-    lagged = _stacked_process(a)[k:]
-    lagged -= lagged.mean(axis=1, keepdims=True)
-    m_block = lagged @ lagged.T / lagged.shape[1]
-    psi = np.zeros((k + 3 * k * k, k + 3 * k * k))
-    psi[:k, :k] = spherical_cov_h(ms, phi)
-    psi[k:, k:] = m_block
-    psi, clipped = _clip_psd(psi)
-    return PsiEstimate(psi=psi, bandwidth=0, method="spherical-block", clipped=clipped)
+    return PsiEstimate(psi=box @ box.T / (n_g * w), bandwidth=int(bandwidth))

@@ -21,6 +21,7 @@ step is read off afterwards as its first NaN return.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,9 @@ def _simulate_paths(spec, n, seeds, burn_in):
     ``burn_in + n``.  A failed path's rows from ``fail`` on are NaN, except
     ``h_path[fail]``, which holds the covariance that failed.
     """
+    for name, value in [("n", n), ("burn_in", burn_in)] + [("seed", s) for s in seeds]:
+        if not isinstance(value, numbers.Integral):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")
     if burn_in < 0:

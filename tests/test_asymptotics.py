@@ -157,43 +157,49 @@ def test_xi_shapes_and_clipping():
         [0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
-    report = xi(jac, np.diag([1.0, 1.0, 1.0, -1.0]), n=400)
+    report = xi(jac, PsiEstimate(psi=np.diag([1.0, 1.0, 1.0, -1.0]), bandwidth=0), n=400)
     assert report.clipped
     assert_allclose(report.xi, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     assert_allclose(report.std_errors, [0.05, 0.05, 0.0], atol=1e-12)
     assert report.param_names == ["c[0]", "A[0][0]", "B[0][0]"]
-    assert report.psi_method == "external"
 
-    wrapped = xi(jac, PsiEstimate(psi=np.eye(4), bandwidth=7, method="hac-bartlett",
-                                  clipped=False), n=100)
-    assert wrapped.bandwidth == 7 and wrapped.psi_method == "hac-bartlett"
+    wrapped = xi(jac, PsiEstimate(psi=np.eye(4), bandwidth=7), n=100)
+    assert wrapped.bandwidth == 7
     assert not wrapped.clipped
 
+    with pytest.raises(InvalidInput, match="psi must be a PsiEstimate"):
+        xi(jac, np.eye(4), n=100)
     with pytest.raises(InvalidInput):
-        xi(jac, np.eye(5), n=100)
+        xi(jac, PsiEstimate(psi=np.eye(5), bandwidth=0), n=100)
     with pytest.raises(InvalidInput):
-        xi(jac, np.eye(4), n=0)
+        xi(jac, PsiEstimate(psi=np.eye(4), bandwidth=0), n=0)
     with pytest.raises(InvalidInput):
-        xi(np.ones((4, 4)), np.eye(4), n=10)  # 4 rows is no dbar + 2 dbar^2
+        # 4 rows is no dbar + 2 dbar^2
+        xi(np.ones((4, 4)), PsiEstimate(psi=np.eye(4), bandwidth=0), n=10)
 
 
 def test_standard_errors_end_to_end(ref_spec_d1):
     x = to_x(simulate(ref_spec_d1, 40_000, seed=61).y)
     report = standard_errors(estimate(x), x)
     assert report.n == x.shape[0]
-    assert report.psi_method == "hac-bartlett"
     from vechgarch.moments import default_bandwidth
 
     assert report.bandwidth == default_bandwidth(x.shape[0])
     assert (report.std_errors > 0.0).all()
     assert (report.std_errors < 1.0).all()
 
-    spherical = standard_errors(estimate(x), x, method="spherical-block")
-    assert spherical.psi_method == "spherical-block"
-    assert (spherical.std_errors > 0.0).all()
+    with pytest.raises(InvalidInput, match="bandwidth must be an integer >= 0, got 2.5"):
+        standard_errors(estimate(x), x, bandwidth=2.5)
 
-    with pytest.raises(InvalidInput):
-        standard_errors(estimate(x), x, method="bootstrap")
+
+@pytest.mark.parametrize("spec_name", ["ref_spec_d2", "ref_spec_d3"])
+def test_hac_standard_errors_need_no_clip(spec_name, request):
+    # The HAC Psi is a Gram product, so J Psi J' is positive semidefinite
+    # and, on these fits, comfortably positive definite: xi clips nothing.
+    x = to_x(simulate(request.getfixturevalue(spec_name), 20_000, seed=701).y)
+    report = standard_errors(estimate(x), x)
+    assert report.clipped is False
+    assert np.linalg.eigvalsh(report.xi).min() > 0.0
 
 
 def test_standard_errors_shrink_with_n(ref_spec_d1):

@@ -205,14 +205,17 @@ def test_bad_json_is_exit_1(tmp_path, capsys):
                    "--n", 10) == 1
 
 
-@pytest.mark.parametrize("spec", [dict(SCALAR_SPEC, d=1.9), [1, 2]],
-                         ids=["fractional_d", "not_an_object"])
+@pytest.mark.parametrize("spec", [
+    dict(SCALAR_SPEC, d=1.9), [1, 2], dict(SCALAR_SPEC, c=["x"]),
+    dict(REFERENCE_SPEC_D2, A=[[0.15, 0, 0], [0, 0.15], [0, 0, 0.15]]),
+], ids=["fractional_d", "not_an_object", "non_numeric_c", "ragged_A"])
 def test_malformed_spec_is_exit_1(tmp_path, spec, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "y.csv"
     assert run_cli("simulate", "--params", path, "--out", out, "--n", 10) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

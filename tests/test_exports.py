@@ -3,8 +3,10 @@
 A name deleted from a module but left in its ``__all__`` breaks only
 ``from vechgarch.<module> import *``, and one left in the package's
 ``__init__.py`` imports breaks ``import vechgarch``; both should fail this
-suite by name rather than surprise a user.  Tolerances are private module
-constants beside the code that reads them, not parameters.
+suite by name rather than surprise a user.  Retired knobs stay retired:
+tolerances are private module constants beside the code that reads them,
+and the Bartlett HAC is the one long-run covariance, so no export takes a
+``tol`` or a ``method`` parameter.
 """
 
 import ast
@@ -18,6 +20,7 @@ import vechgarch
 
 PACKAGE = Path(vechgarch.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+RETIRED = ("tol", "method")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -60,7 +63,7 @@ def _functions(obj):
 @pytest.mark.parametrize("name", MODULES)
 def test_no_export_takes_a_tol_parameter(name):
     module = importlib.import_module(f"vechgarch.{name}")
-    found = [f.__qualname__ for export in getattr(module, "__all__", [])
+    found = [(f.__qualname__, knob) for export in getattr(module, "__all__", [])
              for f in _functions(getattr(module, export))
-             if "tol" in inspect.signature(f).parameters]
+             for knob in RETIRED if knob in inspect.signature(f).parameters]
     assert found == []

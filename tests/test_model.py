@@ -39,6 +39,18 @@ def test_spec_json_round_trip(ref_spec_d2):
             vg.GarchSpec.from_json(bad)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: vg.GarchSpec.from_json({"d": 1, "c": ["x"], "A": [[0.1]], "B": [[0.6]]}), "c"),
+    (lambda: vg.GarchSpec(d=2, c=[0.1] * 3, A=[[0.1, 0, 0], [0, 0.1], [0, 0, 0.1]],
+                          B=np.eye(3) * 0.5), "A"),
+    (lambda: vg.MomentSet(mean=[1.0], m0=[["a"]], m1=[[0.1]], m2=[[0.1]]), "m0"),
+    (lambda: vg.MomentSet(mean=["a"], m0=[[1.0]], m1=[[0.1]], m2=[[0.1]]), "mean"),
+], ids=["non_numeric_c", "ragged_A", "non_numeric_m0", "non_numeric_mean"])
+def test_malformed_numbers_are_refused(make, field):
+    with pytest.raises(InvalidInput, match=f"^{field} must be an array of numbers"):
+        make()
+
+
 def test_phi_is_a_plus_b(ref_spec_d2):
     assert_allclose(ref_spec_d2.phi, ref_spec_d2.A + ref_spec_d2.B)
 

@@ -9,14 +9,11 @@ from vechgarch import linalg
 from vechgarch.exceptions import InsufficientData, InvalidInput
 from vechgarch.moments import (
     _BOX_BLOCK,
-    _clip_psd,
     _stacked_process,
     default_bandwidth,
     hac_psi,
     sample_autocovariances,
     sample_moments,
-    spherical_cov_h,
-    spherical_psi,
 )
 from vechgarch.simulate import simulate, to_x
 
@@ -117,8 +114,8 @@ def bartlett_lag_sum(x, bandwidth):
 def assert_hac_matches_lag_sum(x, bandwidth):
     est = hac_psi(x, bandwidth=bandwidth)
     bw = default_bandwidth(x.shape[0]) if bandwidth is None else bandwidth
-    want, clipped = _clip_psd(bartlett_lag_sum(x, bw))
-    assert est.bandwidth == bw and est.clipped == clipped
+    want = bartlett_lag_sum(x, bw)
+    assert est.bandwidth == bw
     assert np.abs(est.psi - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -179,7 +176,7 @@ def test_hac_psi_bandwidth_zero_is_plain_covariance(rng):
     g = _stacked_process(x)
     g -= g.mean(axis=1, keepdims=True)
     assert_allclose(est.psi, linalg.sym(g @ g.T / g.shape[1]), atol=1e-12)
-    assert est.bandwidth == 0 and est.method == "hac-bartlett"
+    assert est.bandwidth == 0
 
 
 def test_hac_psi_iid_mean_block(rng):
@@ -206,23 +203,11 @@ def test_hac_psi_guards(rng):
         hac_psi(x, bandwidth=5)
 
 
-def test_spherical_cov_h_scalar_value():
-    # a = 0.1, b = 0.8, sigma = 1: m0 = 20/19, m1 = 2.8/19, and the
-    # leading sum telescopes to (20 + 28 + 28)/19 = 4.
-    spec = vg.GarchSpec(d=1, c=[0.1], A=[[0.1]], B=[[0.8]])
-    ms = vg.population_moments(spec, np.array([[1.0]]))
-    cov = spherical_cov_h(ms, spec.phi)
-    assert_allclose(cov, [[4.0]], rtol=1e-10)
-
-
-def test_spherical_psi_block_structure(ref_spec_d1):
-    x = to_x(simulate(ref_spec_d1, 4_000, seed=23).y)
-    ms = sample_moments(x)
-    phi = np.array([[0.7]])
-    est = spherical_psi(x, phi)
-    assert est.method == "spherical-block"
-    assert est.psi.shape == (4, 4)
-    assert_allclose(est.psi[0, 1:], 0.0, atol=1e-14)
-    assert_allclose(est.psi[1:, 0], 0.0, atol=1e-14)
-    assert est.psi[0, 0] == pytest.approx(spherical_cov_h(ms, phi)[0, 0])
-    assert np.linalg.eigvalsh(est.psi).min() >= -1e-12
+@pytest.mark.parametrize("call, message", [
+    (lambda x: hac_psi(x, bandwidth=2.5), "bandwidth must be an integer >= 0, got 2.5"),
+    (lambda x: hac_psi(x, bandwidth="3"), "bandwidth must be an integer >= 0, got '3'"),
+    (lambda x: sample_autocovariances(x, 2.5), "max_lag must be an integer >= 0, got 2.5"),
+], ids=["bandwidth_float", "bandwidth_str", "max_lag_float"])
+def test_non_integer_counts_are_refused(rng, call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call(rng.normal(size=(200, 1)))

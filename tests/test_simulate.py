@@ -215,6 +215,16 @@ def test_input_validation(ref_spec_d1):
         simulate(bad, 10, seed=1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=2.5, seed=1), "n must be an integer, got 2.5"),
+    (dict(n=10, seed=1, burn_in=2.5), "burn_in must be an integer, got 2.5"),
+    (dict(n=10, seed=1.5), "seed must be an integer, got 1.5"),
+], ids=["n", "burn_in", "seed"])
+def test_non_integer_counts_are_refused(ref_spec_d1, kwargs, message):
+    with pytest.raises(InvalidInput, match=message):
+        simulate(ref_spec_d1, **kwargs)
+
+
 def test_positivity_violation_carries_step():
     # Negative intercept with no feedback: h goes negative immediately.
     spec = vg.GarchSpec(d=1, c=[-1.0], A=[[0.0]], B=[[0.0]])
