@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import InvalidInput, MissingSigmaW
-from .model import GarchSpec, uncond_h
+from .model import GarchSpec, _as_covariance, _as_float_array, uncond_h
 from .solver import EstimateReport, GammaState, _solve
 
 __all__ = [
@@ -43,7 +43,9 @@ class AggregationInput:
     ``sigma`` is the covariance of the martingale-difference innovation of
     the disaggregated squared-returns process.  ``sigma_w`` (flow only,
     required for ``m > 1``) is the covariance contribution of the additive
-    aggregation noise.
+    aggregation noise.  Construction refuses a ``sigma`` that is not
+    symmetric positive definite and a ``sigma_w`` that is not symmetric
+    positive semidefinite.
     """
 
     spec: GarchSpec
@@ -58,7 +60,7 @@ class AggregationInput:
         _check_m(self.m)
         object.__setattr__(self, "m", int(self.m))
         k = self.spec.dbar
-        object.__setattr__(self, "sigma", _check_cov(self.sigma, k, "sigma"))
+        object.__setattr__(self, "sigma", _as_covariance(self.sigma, k, "sigma"))
         if self.kind == "flow":
             object.__setattr__(self, "sigma_w", _flow_noise(self.sigma_w, k, self.m))
         elif self.sigma_w is not None:
@@ -104,11 +106,9 @@ def _ladder(spec, m, kind):
     return [sum(reversed(stock[max(i - m + 1, 0) : i + 1])) for i in range(2 * m)]
 
 
-def _gammas(spec, sigma, m, kind, sigma_w):
-    """``(gamma0, gamma1)`` over the ladder of ``kind``, inputs already validated.
-
-    ``sigma_w`` is the flow-noise covariance (``None`` for stock).
-    """
+def _gammas(inp):
+    """``(gamma0, gamma1)`` of a validated :class:`AggregationInput`."""
+    spec, sigma, m, kind, sigma_w = inp.spec, inp.sigma, inp.m, inp.kind, inp.sigma_w
     ladder = _ladder(spec, m, kind)
     gamma0 = sum(j @ sigma @ j.T for j in ladder)
     gamma1 = sum(ladder[i + m] @ sigma @ ladder[i].T for i in range(len(ladder) - m))
@@ -125,9 +125,7 @@ def stock_gammas(spec, sigma, m):
     Returns ``(gamma0_m, gamma1_m)`` with ``gamma0_m = sum_i J_i Sigma
     J_i'`` over the stock ladder and ``gamma1_m = J_m Sigma``.
     """
-    s = _check_cov(sigma, spec.dbar, "sigma")
-    _check_m(m)
-    return _gammas(spec, s, m, "stock", None)
+    return _gammas(AggregationInput(spec, sigma, m, "stock"))
 
 
 def flow_gammas(spec, sigma, m, sigma_w=None):
@@ -138,10 +136,7 @@ def flow_gammas(spec, sigma, m, sigma_w=None):
     are affine in it.  Required for ``m > 1``; pass a zero matrix for
     noiseless aggregation.
     """
-    k = spec.dbar
-    s = _check_cov(sigma, k, "sigma")
-    _check_m(m)
-    return _gammas(spec, s, m, "flow", _flow_noise(sigma_w, k, m))
+    return _gammas(AggregationInput(spec, sigma, m, "flow", sigma_w))
 
 
 def _flow_noise(sigma_w, k, m):
@@ -156,18 +151,10 @@ def _flow_noise(sigma_w, k, m):
                 "matrix for noiseless aggregation)"
             )
         return np.zeros((k, k))
-    s = _check_cov(sigma_w, k, "sigma_w")
-    if linalg.asymmetry(s) > 1e-8:
-        raise InvalidInput("sigma_w must be symmetric")
+    s = _as_float_array(sigma_w, (k, k), "sigma_w")
+    linalg.check_symmetric(s, "sigma_w")
     if np.linalg.eigvalsh(s)[0] < -1e-12 * (1.0 + np.linalg.norm(s)):
         raise InvalidInput("sigma_w must be positive semidefinite")
-    return s
-
-
-def _check_cov(a, k, name):
-    s = np.asarray(a, dtype=float)
-    if s.shape != (k, k) or not np.isfinite(s).all():
-        raise InvalidInput(f"{name} must be a finite {k} x {k} matrix")
     return s
 
 
@@ -194,11 +181,8 @@ def aggregate_params(inp):
     if not isinstance(inp, AggregationInput):
         raise InvalidInput("inp must be an AggregationInput")
     spec, m = inp.spec, inp.m
-    if linalg.asymmetry(inp.sigma) > 1e-8:
-        raise InvalidInput("sigma must be symmetric")
-    linalg.cholesky(linalg.sym(inp.sigma))
     h = uncond_h(spec)
-    gamma0_m, gamma1_m = _gammas(spec, inp.sigma, m, inp.kind, inp.sigma_w)
+    gamma0_m, gamma1_m = _gammas(inp)
     h_m = h if inp.kind == "stock" else m * h
     phi_m = np.linalg.matrix_power(spec.phi, m)
     gs = GammaState(phi=phi_m, gamma0=gamma0_m, gamma1=gamma1_m)

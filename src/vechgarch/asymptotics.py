@@ -219,7 +219,5 @@ def standard_errors(report, x, bandwidth=None):
     pools lags.
     """
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"x must be an n x dbar matrix, got shape {a.shape}")
     js = JacobianState._from_report(report)
     return xi(jacobian_matrix(js), hac_psi(a, bandwidth=bandwidth), a.shape[0])

@@ -34,6 +34,7 @@ __all__ = [
     "unvec",
     "sym",
     "asymmetry",
+    "check_symmetric",
     "eig",
     "dlyap",
     "cholesky",
@@ -45,8 +46,8 @@ __all__ = [
 ]
 
 
-# Relative asymmetry up to which ``vech`` and ``cholesky`` accept a matrix,
-# and ``dlyap`` treats a right-hand side, as symmetric.
+# Relative asymmetry (:func:`asymmetry`) up to which ``check_symmetric``
+# accepts a matrix, and ``dlyap`` treats a right-hand side, as symmetric.
 _SYMMETRY = 1e-12
 
 
@@ -108,16 +109,10 @@ def mat_dim(dbar):
     return d
 
 
-def _check_symmetric(a):
-    gap = np.abs(a - a.T).max(initial=0.0)
-    if gap > _SYMMETRY * (1.0 + np.abs(a).max(initial=0.0)):
-        raise InvalidInput(f"matrix is not symmetric (max asymmetry {gap:.3e})")
-
-
 def vech(m):
     """Half-vectorise a symmetric matrix (lower triangle, column by column)."""
     a = _as_square(m)
-    _check_symmetric(a)
+    check_symmetric(a)
     rows, cols = vech_indices(a.shape[0])
     return a[rows, cols].copy()
 
@@ -166,6 +161,13 @@ def asymmetry(m):
     axes = (-2, -1)
     gap = np.linalg.norm(a - a.swapaxes(-1, -2), axis=axes)
     return gap / (1.0 + np.linalg.norm(a, axis=axes))
+
+
+def check_symmetric(a, name="matrix"):
+    """Refuse a square matrix whose :func:`asymmetry` exceeds ``_SYMMETRY``."""
+    gap = asymmetry(a)
+    if gap > _SYMMETRY:
+        raise InvalidInput(f"{name} is not symmetric (relative asymmetry {gap:.3e})")
 
 
 def eig(m):
@@ -224,14 +226,14 @@ def dlyap(b, q):
     return np.where(np.expand_dims(symmetric, (-2, -1)), sym(x), x)
 
 
-def cholesky(m):
+def cholesky(m, name="matrix"):
     """Lower Cholesky factor of a symmetric positive definite matrix."""
-    a = _as_square(m)
-    _check_symmetric(a)
+    a = _as_square(m, name)
+    check_symmetric(a, name)
     try:
         return np.linalg.cholesky(sym(a))
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
+        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
 
 
 # Smallest ratio of extreme singular values of a non-singular square matrix.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .exceptions import InvalidInput, NonStationary
+from .exceptions import InvalidInput, NonStationary, VechGarchError
 
 __all__ = [
     "GarchSpec",
@@ -44,6 +44,17 @@ def _as_float_array(value, shape, name):
     if not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return a
+
+
+def _as_covariance(value, k, name):
+    """``value`` as a finite ``k x k`` symmetric positive definite matrix.
+
+    Raises ``InvalidInput`` (shape, entries, symmetry) or
+    ``NotPositiveDefinite``, naming the input.
+    """
+    s = _as_float_array(value, (k, k), name)
+    linalg.cholesky(s, name)
+    return s
 
 
 @dataclass(frozen=True)
@@ -184,10 +195,7 @@ def population_moments(spec, sigma):
     ``m0 - Phi m0 Phi' = gamma0 + gamma1 Phi' + Phi gamma1'``, obtained by
     eliminating ``m1`` from the lag identities.
     """
-    s = np.asarray(sigma, dtype=float)
-    if s.shape != (spec.dbar, spec.dbar):
-        raise InvalidInput(f"sigma must have shape {(spec.dbar, spec.dbar)}, got {s.shape}")
-    linalg.cholesky(s)  # raises NotPositiveDefinite / InvalidInput
+    s = _as_covariance(sigma, spec.dbar, "sigma")
     p = spec.phi
     h = uncond_h(spec)
     gamma0 = s + spec.B @ s @ spec.B.T
@@ -205,7 +213,8 @@ def diagnostics(spec):
     Never raises: every failed check is reported as a flag plus a warning
     entry so that callers can surface all problems at once.
     """
-    rho_phi = linalg.spectral_radius(spec.phi)
+    p = spec.phi
+    rho_phi = linalg.spectral_radius(p)
     rho_b = linalg.spectral_radius(spec.B)
     diag = Diagnostics(
         stationary=bool(rho_phi < 1.0),
@@ -220,20 +229,23 @@ def diagnostics(spec):
         diag.note("noninvertible", f"rho(B) = {rho_b:.6g} >= 1")
     if diag.stationary:
         try:
-            h = uncond_h(spec)
+            h = linalg.solve(np.eye(spec.dbar) - p, spec.c, name="I - Phi")
             linalg.cholesky(linalg.unvech(h))
             diag.h_positive = True
-        except Exception as exc:
+        except VechGarchError as exc:
             diag.note("h_not_pd", f"unvech(h) is not positive definite: {exc}")
     else:
         diag.note("h_undefined", "unconditional variance undefined for nonstationary spec")
     return diag
 
 
-def random_spec(d, rng, rho_b=0.9):
+_RANDOM_RHO_B = 0.9
+
+
+def random_spec(d, rng):
     """Draw a well-behaved random spec for round-trip testing.
 
-    ``B`` is diagonally dominant with spectral radius at most ``rho_b``,
+    ``B`` is diagonally dominant with spectral radius at most 0.9,
     ``A`` has small nonnegative entries (at most ``0.1 / dbar``), and ``c``
     is chosen so the unconditional covariance is the identity.
     """
@@ -244,8 +256,8 @@ def random_spec(d, rng, rho_b=0.9):
         off[np.diag_indices(k)] = 0.0
         b = b + off
         r = linalg.spectral_radius(b)
-        if r > rho_b:
-            b *= rho_b / r
+        if r > _RANDOM_RHO_B:
+            b *= _RANDOM_RHO_B / r
         a = rng.uniform(0.0, 0.1 / k, size=(k, k))
         p = a + b
         if linalg.spectral_radius(p) <= 0.97:

@@ -88,22 +88,9 @@ def sample_autocovariances(x, max_lag):
 
 
 def _autocovariances(z, max_lag):
-    """``[m0, ..., m_max_lag]`` of the centred sample ``z``.
-
-    A single column goes through an elementwise multiply-and-sum: as a
-    matrix product it is a BLAS dot, whose thread start-up alone costs
-    milliseconds at these lengths.
-    """
+    """``[m0, ..., m_max_lag]`` of the centred sample ``z``."""
     n = z.shape[0]
-    out = []
-    for k in range(max_lag + 1):
-        lead, lag = z[k:], z[: n - k]
-        if z.shape[1] == 1:
-            product = np.multiply(lead, lag).sum(axis=0, keepdims=True)
-        else:
-            product = lead.T @ lag
-        out.append(product / (n - k))
-    return out
+    return [z[k:].T @ z[: n - k] / (n - k) for k in range(max_lag + 1)]
 
 
 def default_bandwidth(n):

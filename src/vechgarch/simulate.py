@@ -159,7 +159,7 @@ def _recursion(spec, h0, eps):
     # Flat indices into one step's (R, dbar) states and (R, d) returns, so
     # each gather is a single take into a preallocated buffer.
     path = np.arange(paths)[:, None]
-    fill = path[:, :, None] * k + _vech_positions(d)
+    fill = path[:, :, None] * k + linalg.unvech(np.arange(k)).astype(np.intp)
     pick_rows = (path * d + rows)[..., None]
     pick_cols = (path * d + cols)[..., None]
     c = np.tile(spec.c[:, None], (paths, 1, 1))
@@ -199,14 +199,6 @@ def _recursion(spec, h0, eps):
     nan = np.isnan(y[:, :, 0])
     fail = np.where(nan.any(axis=0), nan.argmax(axis=0), total)
     return y, h_path[:total], fail
-
-
-def _vech_positions(d):
-    """``(d, d)`` array giving the vech position of each entry of a symmetric matrix."""
-    rows, cols = linalg.vech_indices(d)
-    pos = np.empty((d, d), dtype=np.intp)
-    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
-    return pos
 
 
 def to_x(y):

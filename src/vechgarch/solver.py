@@ -66,7 +66,7 @@ class GammaState:
     phi: np.ndarray
     gamma0: np.ndarray
     gamma1: np.ndarray
-    gamma0_asymmetry: float = 0.0
+    gamma0_asymmetry: float = field(init=False)
 
     def __post_init__(self):
         phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
@@ -383,9 +383,6 @@ def estimate(data, lags=1):
             )
     else:
         x = np.asarray(data, dtype=float)
-        if x.ndim != 2:
-            raise InvalidInput(f"data must be an n x dbar matrix, got shape {x.shape}")
-        linalg.mat_dim(x.shape[1])  # validates the vech width
         if pooled:
             covs = _run_stage("moments", sample_autocovariances, x, lags + 1)
             ms = MomentSet(mean=x.mean(axis=0), m0=covs[0], m1=covs[1], m2=covs[2])

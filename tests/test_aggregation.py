@@ -230,6 +230,35 @@ def test_flow_noise_must_be_a_covariance(ref_spec_d2):
                          sigma_w=sigma_w)
 
 
+def test_gamma_functions_refuse_what_aggregate_params_refuses(ref_spec_d2):
+    # stock_gammas and flow_gammas used to return numbers for sigma = -I.
+    asymmetric = np.eye(3)
+    asymmetric[0, 1] = 0.5
+    for gammas, kwargs in ((stock_gammas, {}), (flow_gammas, {"sigma_w": np.zeros((3, 3))})):
+        with pytest.raises(NotPositiveDefinite, match="^sigma is not positive definite"):
+            gammas(ref_spec_d2, -np.eye(3), 2, **kwargs)
+        with pytest.raises(InvalidInput, match="^sigma is not symmetric"):
+            gammas(ref_spec_d2, asymmetric, 2, **kwargs)
+
+
+def test_sigma_symmetry_bound_is_the_population_moments_one(ref_spec_d2):
+    # Relative asymmetry 1e-10 used to pass the aggregation bound of 1e-8
+    # while population_moments refused it.
+    nearly = np.eye(3)
+    nearly[0, 1] = 1e-10 * (1.0 + np.sqrt(3.0)) / np.sqrt(2.0)
+    assert linalg.asymmetry(nearly) == pytest.approx(1e-10, rel=1e-6)
+    with pytest.raises(InvalidInput, match="^sigma is not symmetric"):
+        vg.population_moments(ref_spec_d2, nearly)
+    with pytest.raises(InvalidInput, match="^sigma is not symmetric"):
+        AggregationInput(ref_spec_d2, nearly, 2, "stock")
+    with pytest.raises(InvalidInput, match="^sigma_w is not symmetric"):
+        AggregationInput(ref_spec_d2, np.eye(3), 2, "flow", sigma_w=0.1 * nearly)
+    with pytest.raises(InvalidInput, match="^sigma must have shape"):
+        AggregationInput(ref_spec_d2, np.eye(2), 2, "stock")
+    with pytest.raises(InvalidInput, match="^sigma_w must have shape"):
+        flow_gammas(ref_spec_d2, np.eye(3), 2, sigma_w=np.zeros((2, 2)))
+
+
 def test_aggregate_data_examples():
     y = np.array([[1.0], [2.0], [3.0], [4.0]])
     assert_allclose(aggregate_data(y, 2, kind="stock"), [[2.0], [4.0]])

@@ -88,6 +88,12 @@ def test_gamma_state_symmetrises_gamma0():
     assert gs.gamma0_asymmetry > 0.0
 
 
+def test_gamma0_asymmetry_is_not_a_keyword():
+    # It is measured from gamma0; a passed value used to be dropped silently.
+    with pytest.raises(TypeError, match="gamma0_asymmetry"):
+        GammaState(phi=[[0.5]], gamma0=[[1.0]], gamma1=[[0.1]], gamma0_asymmetry=5.0)
+
+
 def test_singular_m1_mentions_the_stacked_fallback():
     ms = vg.MomentSet(mean=[1.0], m0=[[1.0]], m1=[[0.0]], m2=[[0.0]])
     with pytest.raises(SingularMatrix, match="lags > 1"):
