@@ -21,6 +21,7 @@ from .exceptions import (
     InvalidInput,
     MissingSigmaW,
     NonStationary,
+    NotPositiveDefinite,
     PositivityViolation,
     UnimodularEigenvalues,
     VechGarchError,
@@ -96,8 +97,12 @@ def cmd_aggregate(args):
     sigma_w = None
     if args.sigma_w is not None:
         sigma_w = _load_matrix(args.sigma_w, "sigma_w")
-    inp = AggregationInput(spec=spec, sigma=sigma, m=args.m, kind=args.kind,
-                           sigma_w=sigma_w)
+    try:
+        inp = AggregationInput(spec=spec, sigma=sigma, m=args.m, kind=args.kind,
+                               sigma_w=sigma_w)
+    except NotPositiveDefinite as exc:
+        # A refused input, not a failed solve: exit 1 like every other refusal.
+        raise InvalidInput(str(exc)) from exc
     agg = aggregate_params(inp)
     _print_warnings(agg.report.diagnostics)
     _dump_json(agg.to_json(), args.out)

@@ -8,7 +8,10 @@ process
     g_t = (x_t, vec(z_t z_t'), vec(z_{t+1} z_t'), vec(z_{t+2} z_t')),
 
 where ``z_t = x_t - mean`` and ``vec`` stacks columns.  The estimate is the
-Bartlett-kernel (Newey-West) HAC.
+Bartlett-kernel (Newey-West) HAC, a box filter over ``g_t`` that is built
+and consumed in blocks of columns, so beyond a centred copy of the sample
+its working memory is ``O(p (block + bandwidth))`` floats,
+``p = dbar + 3 dbar^2``, whatever the sample length.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ __all__ = [
 class PsiEstimate:
     """Long-run covariance of the stacked moment process.
 
-    ``psi`` is symmetric positive semidefinite by construction: it is a Gram
-    product of moving sums (:func:`hac_psi`).
+    ``psi`` is symmetric positive semidefinite by construction: it is a sum
+    of Gram products of moving sums, one per block of :func:`hac_psi`.
     """
 
     psi: np.ndarray
@@ -53,7 +56,7 @@ def _as_sample(x):
 
 
 def _check_count(value, name):
-    if not isinstance(value, numbers.Integral) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
 
 
@@ -98,39 +101,33 @@ def default_bandwidth(n):
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
-# Columns per step of the in-place moving sums in ``hac_psi``.  A step
-# wider than the window reads columns it also writes, which numpy's overlap
-# rule makes safe by buffering the operand; steps of one window width are
-# several times slower at small ``p``, where call overhead dominates.  At
-# n = 2e4 and dbar = 1, 3, 6, widths 512 to 2048 time alike and narrower
-# ones are slower; 512 keeps the buffered operand small.
-_BOX_BLOCK = 512
+# Columns of the stacked process per block of ``hac_psi``; each block adds
+# one Gram product of this width to Psi, and the working memory is about
+# p * (width + bandwidth) floats whatever n is.  At n = 2e4 and d = 1, 2, 3
+# (2 cores, OpenBLAS), 4096 ran as fast as one whole-sample Gram product,
+# while 2048 cost up to 1.5 times as much at d = 1, where the per-block
+# overhead dominates (interleaved medians in CHANGES.md).
+_BOX_BLOCK = 4096
 
 
-def _stacked_process(a, lead=0, trail=0):
-    """The stacked moment process, transposed: ``g_t`` is a column.
+def _stacked_columns(out, a, zt, t0):
+    """Write ``g_{t0}, g_{t0+1}, ...`` into the columns of ``out``.
 
-    Returns a ``(p, lead + n_g + trail)`` array, ``p = dbar + 3 dbar^2`` and
-    ``n_g = n - 2``, with ``g_t`` in column ``lead + t`` and zeros in the
-    ``lead`` and ``trail`` padding columns.  Row ``dbar + l dbar^2 + j dbar
-    + i`` holds ``z_{t+l,i} z_{t,j}``, entry ``j dbar + i`` of
-    ``vec(z_{t+l} z_t')``.
+    ``out`` is a ``(p, b)`` view, ``p = dbar + 3 dbar^2``, and ``zt`` the
+    centred sample, transposed.  Row ``dbar + l dbar^2 + j dbar + i`` holds
+    ``z_{t+l,i} z_{t,j}``, entry ``j dbar + i`` of ``vec(z_{t+l} z_t')``.
+    Only ``g_t`` with ``t < n - 2`` exist; returns how many were written,
+    and leaves the columns after them untouched.
     """
-    n, k = a.shape
-    if n < 4:
-        raise InsufficientData(f"need at least 4 observations, got {n}")
-    n_g = n - 2
-    buf = np.empty((k + 3 * k * k, lead + n_g + trail))
-    buf[:, :lead] = 0.0
-    buf[:, lead + n_g :] = 0.0
-    g = buf[:, lead : lead + n_g]
-    g[:k] = a[:n_g].T
-    zt = np.subtract(a.T, a.mean(axis=0)[:, None], order="C")
+    k = a.shape[1]
+    m = max(0, min(out.shape[1], a.shape[0] - 2 - t0))
+    out[:k, :m] = a[t0 : t0 + m].T
     # The lag-l block, split into (j, i, t), is z_{t,j} z_{t+l,i}.
-    lagged = g[k:].reshape(3, k, k, n_g)
+    lagged = out[k:, :m].reshape(3, k, k, m)
     for lag in range(3):
-        np.multiply(zt[:, None, :n_g], zt[None, :, lag : lag + n_g], out=lagged[lag])
-    return buf
+        np.multiply(zt[:, None, t0 : t0 + m], zt[None, :, t0 + lag : t0 + lag + m],
+                    out=lagged[lag])
+    return m
 
 
 def hac_psi(x, bandwidth=None):
@@ -146,14 +143,16 @@ def hac_psi(x, bandwidth=None):
     ``n_g + w - 1`` windows) holds a lag-``l`` pair in ``w - l`` windows, so
     ``Psi = sum_j s_j s_j' / (n_g w)`` exactly.
 
-    Everything happens in one ``(p, n_g + 2w - 1)`` buffer: ``g_t`` is
-    written into column ``w + t`` (:func:`_stacked_process`), the rows are
-    centred by their means and cumulated in place into running sums
-    ``c_j``, and ``s_j = c_{j+w} - c_j`` overwrites ``c_j`` in forward
-    steps of :data:`_BOX_BLOCK` columns.  ``Psi`` is then one Gram product
-    of the first ``n_g + w - 1`` columns, and the memory peak is about one
-    ``g``.  As a Gram product, ``Psi`` is symmetric positive semidefinite
-    without repair (Newey & West 1987).
+    The ``g_t`` are streamed in blocks of :data:`_BOX_BLOCK` columns
+    through one ``(p, w + _BOX_BLOCK)`` buffer, so the working memory does
+    not grow with ``n``.  Each block writes its ``g_t`` after the last
+    ``w`` running sums of the previous block (zeros before the first),
+    centres them by the row means of ``g``, computed once before the loop,
+    continues the running sums ``c_j`` from that carried column, lets
+    ``s_j = c_j - c_{j-w}`` overwrite ``c_{j-w}`` in forward steps, and
+    adds the Gram product of its ``s_j`` to ``Psi``.  As a sum of Gram
+    products, ``Psi`` is symmetric positive semidefinite without repair
+    (Newey & West 1987).
 
     Parameters
     ----------
@@ -177,17 +176,35 @@ def hac_psi(x, bandwidth=None):
             f"{bandwidth}, got {n}"
         )
     n_g, w = n - 2, bandwidth + 1
-    # g' between w leading and w - 1 trailing zero columns, centred and
-    # cumulated in place: column j then holds the running sum c_j.
-    buf = _stacked_process(a, lead=w, trail=w - 1)
-    g = buf[:, w : w + n_g]
-    g -= g.mean(axis=1, keepdims=True)
-    np.cumsum(buf[:, w:], axis=1, out=buf[:, w:])
-    # s_j = c_{j+w} - c_j overwrites c_j; forward steps read only columns
-    # not yet overwritten.
-    windows = n_g + w - 1
-    for j in range(0, windows, _BOX_BLOCK):
-        e = min(j + _BOX_BLOCK, windows)
-        np.subtract(buf[:, j + w : e + w], buf[:, j:e], out=buf[:, j:e])
-    box = buf[:, :windows]
-    return PsiEstimate(psi=box @ box.T / (n_g * w), bandwidth=int(bandwidth))
+    zt = np.subtract(a.T, a.mean(axis=0)[:, None], order="C")
+    # Row means of g: the x rows, then sum_t z_{t,j} z_{t+l,i} at (j, i).
+    mean = np.concatenate([a[:n_g].mean(axis=0)] + [
+        (zt[:, :n_g] @ zt[:, lag : lag + n_g].T).ravel() / n_g for lag in range(3)
+    ])[:, None]
+    p = mean.shape[0]
+    # Column w + i holds c_{t0+i} of the block at t0, after c_{t0-w} ..
+    # c_{t0-1} in the first w columns.
+    buf = np.zeros((p, w + _BOX_BLOCK))
+    psi = np.zeros((p, p))
+    windows, step = n_g + w - 1, _BOX_BLOCK // 8
+    for t0 in range(0, windows, _BOX_BLOCK):
+        b = min(_BOX_BLOCK, windows - t0)
+        block = buf[:, w : w + b]
+        m = _stacked_columns(block, a, zt, t0)
+        block[:, :m] -= mean
+        block[:, m:] = 0.0  # the w - 1 windows past the last g_t
+        block[:, 0] += buf[:, w - 1]
+        np.cumsum(block, axis=1, out=block)
+        # s_j = c_j - c_{j-w} overwrites c_{j-w}; forward steps read only
+        # columns not yet overwritten.  A step wider than w reads columns
+        # it also writes, which numpy's overlap rule makes safe by copying
+        # the read operand, so steps of an eighth of a block bound that
+        # copy; one step per block raised the cli_fit_se peak RSS by 4 MB.
+        for j in range(0, b, step):
+            e = min(j + step, b)
+            np.subtract(buf[:, j + w : e + w], buf[:, j:e], out=buf[:, j:e])
+        box = buf[:, :b]
+        psi += box @ box.T
+        buf[:, :w] = buf[:, b : b + w]
+    psi /= n_g * w
+    return PsiEstimate(psi=psi, bandwidth=int(bandwidth))

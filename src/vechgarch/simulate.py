@@ -98,7 +98,7 @@ def _simulate_paths(spec, n, seeds, burn_in):
     ``h_path[fail]``, which holds the covariance that failed.
     """
     for name, value in [("n", n), ("burn_in", burn_in)] + [("seed", s) for s in seeds]:
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise InvalidInput(f"n must be positive, got {n}")

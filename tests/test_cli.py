@@ -285,6 +285,35 @@ def test_aggregate_flow_refuses_negative_noise(tmp_path, capsys):
     assert "semidefinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma, message", [
+    ("[[-1.0]]", "sigma is not positive definite"),
+    ("[[NaN]]", "sigma"),
+], ids=["not_pd", "nan"])
+def test_aggregate_refused_sigma_is_exit_1(tmp_path, spec_file, sigma, message, capsys):
+    path = tmp_path / "sigma.json"
+    path.write_text(sigma)
+    code = run_cli("aggregate", "--params", spec_file, "--sigma", path,
+                   "--m", 2, "--kind", "stock")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_aggregate_failure_inside_the_solve_is_exit_3(tmp_path, spec_file, monkeypatch,
+                                                      capsys):
+    # Only a Sigma refused at input validation exits 1; the same error type
+    # raised by the solve stays a numerical failure.
+    def fail(inp):
+        raise vg.NotPositiveDefinite("recovered Sigma is not positive definite")
+
+    monkeypatch.setattr(cli, "aggregate_params", fail)
+    path = tmp_path / "sigma.json"
+    path.write_text("[[1.0]]")
+    code = run_cli("aggregate", "--params", spec_file, "--sigma", path,
+                   "--m", 2, "--kind", "stock")
+    assert code == 3
+    assert "recovered Sigma" in capsys.readouterr().err
+
+
 def test_montecarlo_csv_output(tmp_path, spec_file, capsys):
     out = tmp_path / "mc.csv"
     code = run_cli("montecarlo", "--params", spec_file, "--reps", 3,

@@ -9,7 +9,7 @@ from vechgarch import linalg
 from vechgarch.exceptions import InsufficientData, InvalidInput
 from vechgarch.moments import (
     _BOX_BLOCK,
-    _stacked_process,
+    _stacked_columns,
     default_bandwidth,
     hac_psi,
     sample_autocovariances,
@@ -120,11 +120,17 @@ def assert_hac_matches_lag_sum(x, bandwidth):
 
 
 def test_stacked_process_is_the_transposed_definition(rng):
+    # Blocks of columns at any offset, the last ones past g_{n-3}.
     x = np.abs(rng.normal(size=(40, 3))) + 0.1
-    buf = _stacked_process(x, lead=4, trail=3)
-    assert buf.shape == (3 + 27, 4 + 38 + 3)
-    assert np.array_equal(buf[:, 4:42].T, stacked_by_definition(x))
-    assert not buf[:, :4].any() and not buf[:, 42:].any()
+    zt = (x - x.mean(axis=0)).T.copy()
+    want = stacked_by_definition(x).T
+    assert want.shape == (3 + 27, 38)
+    for t0, b in [(0, 38), (5, 10), (30, 12), (38, 4)]:
+        out = np.full((30, b), np.nan)
+        m = _stacked_columns(out, x, zt, t0)
+        assert m == min(b, 38 - t0)
+        assert np.array_equal(out[:, :m], want[:, t0 : t0 + m])
+        assert np.isnan(out[:, m:]).all()
 
 
 @pytest.mark.parametrize("bandwidth", [0, 1, 5, None])
@@ -134,19 +140,23 @@ def test_hac_psi_matches_the_bartlett_lag_sum(ref_spec_d1, ref_spec_d2, d, bandw
     assert_hac_matches_lag_sum(to_x(simulate(spec, 3_000, seed=29).y), bandwidth)
 
 
-WHOLE = (2 - 3_000) % _BOX_BLOCK  # n = 3000: the windows fill whole blocks
+N = 3 * _BOX_BLOCK - 10
+WHOLE = (2 - N) % _BOX_BLOCK  # n = N: the windows fill three whole blocks
 
 
-@pytest.mark.parametrize("n, bandwidth", [
-    (3_000, WHOLE),
-    (3_000, WHOLE + 1),            # one window in the last block
-    (3_000, 200),                  # a ragged last block
-    (10 * _BOX_BLOCK + 300, _BOX_BLOCK + 20),  # window wider than a block
-], ids=["whole", "one-over", "ragged", "wide"])
-def test_hac_psi_in_place_blocks(ref_spec_d1, n, bandwidth):
+@pytest.mark.parametrize("spec, n, bandwidth", [
+    ("ref_spec_d1", N, WHOLE),
+    ("ref_spec_d1", N, WHOLE + 1),      # one window in the last block
+    ("ref_spec_d1", N, 200),            # a ragged last block
+    ("ref_spec_d1", 10 * _BOX_BLOCK + 300, _BOX_BLOCK + 20),  # window wider than a block
+    ("ref_spec_d3", N + 200, 5),        # dbar = 6 over four blocks
+], ids=["whole", "one-over", "ragged", "wide", "dbar6"])
+def test_hac_psi_in_place_blocks(request, spec, n, bandwidth):
     windows = n - 2 + bandwidth
     assert (windows % _BOX_BLOCK == 0) == (bandwidth == WHOLE)
-    assert_hac_matches_lag_sum(to_x(simulate(ref_spec_d1, n, seed=37).y), bandwidth)
+    assert windows >= 3 * _BOX_BLOCK
+    x = to_x(simulate(request.getfixturevalue(spec), n, seed=37).y)
+    assert_hac_matches_lag_sum(x, bandwidth)
 
 
 @pytest.mark.parametrize("bandwidth", [0, 5])
@@ -155,27 +165,31 @@ def test_hac_psi_matches_the_bartlett_lag_sum_dbar6(ref_spec_d3, bandwidth):
 
 
 def test_hac_psi_peak_memory():
-    # The stacked process g (n - 2 rows, p = dbar + 3 dbar^2 columns) is the
-    # big array; the box filter works inside one g-sized buffer.
+    # The stacked process g (p = dbar + 3 dbar^2 rows, n - 2 columns) is
+    # never held whole: beyond copies of the n x dbar sample, the box filter
+    # needs one block of p x (_BOX_BLOCK + w) floats.  At n = 2e4 g alone
+    # is 2.4 times this bound, at n = 1e5 6 times.
     rng = np.random.default_rng(31)
-    n, dbar = 20_000, 6
-    x = np.abs(rng.normal(size=(n, dbar))) + 0.1
-    g_bytes = (n - 2) * (dbar + 3 * dbar * dbar) * 8
-    tracemalloc.start()
-    try:
-        hac_psi(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * g_bytes
+    dbar = 6
+    p = dbar + 3 * dbar * dbar
+    for n in (20_000, 100_000):
+        x = np.abs(rng.normal(size=(n, dbar))) + 0.1
+        block_bytes = p * (_BOX_BLOCK + default_bandwidth(n) + 1) * 8
+        tracemalloc.start()
+        try:
+            hac_psi(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes + 1.5 * block_bytes
 
 
 def test_hac_psi_bandwidth_zero_is_plain_covariance(rng):
     x = np.abs(rng.normal(size=(300, 1))) + 0.1
     est = hac_psi(x, bandwidth=0)
-    g = _stacked_process(x)
-    g -= g.mean(axis=1, keepdims=True)
-    assert_allclose(est.psi, linalg.sym(g @ g.T / g.shape[1]), atol=1e-12)
+    g = stacked_by_definition(x)
+    g -= g.mean(axis=0)
+    assert_allclose(est.psi, linalg.sym(g.T @ g / g.shape[0]), atol=1e-12)
     assert est.bandwidth == 0
 
 
@@ -207,7 +221,9 @@ def test_hac_psi_guards(rng):
     (lambda x: hac_psi(x, bandwidth=2.5), "bandwidth must be an integer >= 0, got 2.5"),
     (lambda x: hac_psi(x, bandwidth="3"), "bandwidth must be an integer >= 0, got '3'"),
     (lambda x: sample_autocovariances(x, 2.5), "max_lag must be an integer >= 0, got 2.5"),
-], ids=["bandwidth_float", "bandwidth_str", "max_lag_float"])
+    (lambda x: hac_psi(x, bandwidth=True), "bandwidth must be an integer >= 0, got True"),
+    (lambda x: sample_autocovariances(x, True), "max_lag must be an integer >= 0, got True"),
+], ids=["bandwidth_float", "bandwidth_str", "max_lag_float", "bandwidth_bool", "max_lag_bool"])
 def test_non_integer_counts_are_refused(rng, call, message):
     with pytest.raises(InvalidInput, match=message):
         call(rng.normal(size=(200, 1)))

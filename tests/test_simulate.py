@@ -219,7 +219,10 @@ def test_input_validation(ref_spec_d1):
     (dict(n=2.5, seed=1), "n must be an integer, got 2.5"),
     (dict(n=10, seed=1, burn_in=2.5), "burn_in must be an integer, got 2.5"),
     (dict(n=10, seed=1.5), "seed must be an integer, got 1.5"),
-], ids=["n", "burn_in", "seed"])
+    (dict(n=True, seed=0), "n must be an integer, got True"),
+    (dict(n=10, seed=1, burn_in=False), "burn_in must be an integer, got False"),
+    (dict(n=10, seed=True), "seed must be an integer, got True"),
+], ids=["n", "burn_in", "seed", "n_bool", "burn_in_bool", "seed_bool"])
 def test_non_integer_counts_are_refused(ref_spec_d1, kwargs, message):
     with pytest.raises(InvalidInput, match=message):
         simulate(ref_spec_d1, **kwargs)
