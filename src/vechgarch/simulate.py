@@ -15,13 +15,22 @@ batched Cholesky factorisation and a few batched products per step; every
 path is computed with the same per-path arithmetic as a path run alone.  A
 path whose covariance fails to be positive definite stays in the stack: its
 factor, and from then on its returns and states, are NaN, and its failing
-step is read off afterwards as its first NaN return.
+step is read off afterwards as its first NaN return.  A stack of one path
+runs the same steps on 1-D views with ``np.dot``, which calls the same
+BLAS routine, so it too is bitwise the path a larger stack gives.
+
+Returns go to CSV as a header ``y1,...,yd`` and one line per observation:
+``%.17g`` fields joined by ``,``, each line ended by ``\n``, the bytes that
+``np.savetxt(path, y, fmt="%.17g", delimiter=",", header=..., comments="")``
+writes.  Seventeen significant digits round-trip a double, so
+:func:`read_returns_csv` reads the returns back bitwise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,37 +169,41 @@ def _recursion(spec, h0, eps):
     # each gather is a single take into a preallocated buffer.
     path = np.arange(paths)[:, None]
     fill = path[:, :, None] * k + linalg.unvech(np.arange(k)).astype(np.intp)
-    pick_rows = (path * d + rows)[..., None]
-    pick_cols = (path * d + cols)[..., None]
-    c = np.tile(spec.c[:, None], (paths, 1, 1))
     a, b = spec.A, spec.B
-    hfull = np.empty((paths, d, d))
-    chol = np.empty((paths, d, d))
-    x = np.empty((paths, k, 1))
-    x_cols = np.empty((paths, k, 1))
-    ax = np.empty((paths, k, 1))
-    bh = np.empty((paths, k, 1))
-    eps_col = eps[..., None]
-    y_col = y[..., None]
-    h_col = h_path[..., None]
+    if paths == 1:
+        # One path: the same steps on its 1-D and 2-D views.  np.dot of a
+        # matrix and a vector makes the cblas_dgemv call that np.matmul makes
+        # for a (1, k, k) @ (1, k, 1) stack, with less dispatch around it, so
+        # the path is bitwise the same.
+        fill, pick_rows, pick_cols, c = fill[0], rows, cols, spec.c
+        eps_col, y_col, h_col = eps[:, 0], y[:, 0], h_path[:, 0]
+        square, column, product = (d, d), (k,), np.dot
+    else:
+        pick_rows = (path * d + rows)[..., None]
+        pick_cols = (path * d + cols)[..., None]
+        c = np.tile(spec.c[:, None], (paths, 1, 1))
+        eps_col, y_col, h_col = eps[..., None], y[..., None], h_path[..., None]
+        square, column, product = (paths, d, d), (paths, k, 1), np.matmul
+    hfull, chol = np.empty(square), np.empty(square)
+    x, x_cols, ax, bh = (np.empty(column) for _ in range(4))
     # The gufunc behind np.linalg.cholesky, called directly: the wrapper's
     # checks and errstate cost more than the factorisation of a small matrix.
     # A failed factorisation fills only that path's factor with NaN.
     cholesky = _umath_linalg.cholesky_lo
-    matmul, multiply, add = np.matmul, np.multiply, np.add
+    multiply, add = np.multiply, np.add
     with np.errstate(invalid="ignore"):
         for t in range(total):
             h = h_col[t]
             h.take(fill, None, hfull, "clip")
             cholesky(hfull, out=chol, signature="d->d")
             yt = y_col[t]
-            matmul(chol, eps_col[t], yt)
+            product(chol, eps_col[t], yt)
             # x_t = vech(y_t y_t'), then h_{t+1} = c + A x_t + B h_t.
             yt.take(pick_rows, None, x, "clip")
             yt.take(pick_cols, None, x_cols, "clip")
             multiply(x, x_cols, x)
-            matmul(a, x, ax)
-            matmul(b, h, bh)
+            product(a, x, ax)
+            product(b, h, bh)
             h_next = h_col[t + 1]
             add(c, ax, h_next)
             add(h_next, bh, h_next)
@@ -214,13 +227,25 @@ def to_x(y):
     return a[:, rows] * a[:, cols]
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_returns_csv(y, path):
-    """Write returns to CSV with header ``y1,...,yd`` at full precision."""
+    """Write returns to CSV with header ``y1,...,yd`` at full precision.
+
+    The bytes are those of the ``np.savetxt`` call in the module docstring.
+    """
     a = np.asarray(y, dtype=float)
     if a.ndim != 2:
         raise InvalidInput(f"y must be an n x d matrix, got shape {a.shape}")
-    header = ",".join(f"y{i + 1}" for i in range(a.shape[1]))
-    np.savetxt(path, a, fmt="%.17g", delimiter=",", header=header, comments="")
+    row = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"y{i + 1}" for i in range(a.shape[1])) + "\n")
+        # One % per block of rows: formatting Python floats in one pass is
+        # several times cheaper than savetxt's numpy scalars row by row.
+        for start in range(0, a.shape[0], _CSV_BLOCK_ROWS):
+            block = a[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_returns_csv(path):
@@ -232,7 +257,12 @@ def read_returns_csv(path):
         if not names or names != expected:
             raise InvalidInput(f"CSV header must be y1,...,yd, got {header!r}")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # An empty body is refused below; numpy's warning would only
+                # precede that error.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise InvalidInput(f"cannot read returns from {path}: {exc}") from exc
     if data.size == 0:

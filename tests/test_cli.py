@@ -194,6 +194,20 @@ def test_estimate_non_numeric_csv_is_exit_1(tmp_path, capsys):
     assert str(data) in err
 
 
+def test_estimate_header_only_csv_is_exit_1_with_one_error_line(tmp_path):
+    # In a fresh interpreter, so a warning would reach stderr as it does for
+    # a user.
+    data = tmp_path / "empty.csv"
+    data.write_text("y1,y2\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "vechgarch", "estimate", "--data", str(data)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: CSV contains no data rows\n"
+    assert proc.stdout == ""
+
+
 def test_estimate_missing_file_is_exit_1(tmp_path):
     assert run_cli("estimate", "--data", tmp_path / "nope.csv") == 1
 

@@ -10,6 +10,7 @@ import vechgarch as vg
 from vechgarch import linalg
 from vechgarch.exceptions import InvalidInput, NonStationary, PositivityViolation
 from vechgarch.simulate import (
+    _CSV_BLOCK_ROWS as CSV_BLOCK_ROWS,
     _simulate_paths,
     read_returns_csv,
     simulate,
@@ -285,3 +286,77 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b\n1.0,2.0\n")
     with pytest.raises(InvalidInput):
         read_returns_csv(path)
+
+
+def test_csv_rejects_header_only_file_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("y1,y2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="CSV contains no data rows"):
+            read_returns_csv(path)
+
+
+def _savetxt_bytes(y, path):
+    # The writer's reference: the np.savetxt call it replaces.
+    header = ",".join(f"y{i + 1}" for i in range(y.shape[1]))
+    np.savetxt(path, y, fmt="%.17g", delimiter=",", header=header, comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_csv_writer_matches_savetxt(tmp_path, rng, d, n):
+    y = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    path = tmp_path / "y.csv"
+    write_returns_csv(y, path)
+    assert path.read_bytes() == _savetxt_bytes(y, tmp_path / "ref.csv")
+
+
+def test_csv_writer_matches_savetxt_on_extreme_values(tmp_path):
+    values = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+              np.nan, np.inf, -np.inf, 0.1, -1.0 / 3.0]
+    y = np.array(values).reshape(-1, 2)
+    path = tmp_path / "y.csv"
+    write_returns_csv(y, path)
+    assert path.read_bytes() == _savetxt_bytes(y, tmp_path / "ref.csv")
+    assert path.read_text().splitlines()[1:4] == ["-0,0", "4.9406564584124654e-324,"
+                                                  "1.7976931348623157e+308",
+                                                  "-1.7976931348623157e+308,nan"]
+
+
+def test_csv_writer_takes_a_strided_path_view(tmp_path, ref_spec_d3):
+    # simulate hands the writer y[burn_in:, r] of the (total, R, d) stack.
+    burn_in = 30
+    y, _, _ = _simulate_paths(ref_spec_d3, CSV_BLOCK_ROWS + 5, [3, 4], burn_in=burn_in)
+    view = y[burn_in:, 1]
+    assert not view.flags.c_contiguous
+    path = tmp_path / "y.csv"
+    write_returns_csv(view, path)
+    assert path.read_bytes() == _savetxt_bytes(view, tmp_path / "ref.csv")
+    assert np.array_equal(read_returns_csv(path), view)
+
+
+@pytest.mark.parametrize("which, seed, n", [("d2", 13, 400), ("d3", 13, 400),
+                                            ("positivity", 32, 900)])
+def test_single_path_matches_its_row_of_a_stack(which, seed, n, ref_spec_d2, ref_spec_d3,
+                                                positivity_spec_d2):
+    # One seed takes the recursion's single-path route (np.dot on 1-D views),
+    # three seeds the stacked one (np.matmul); the paths agree bitwise.
+    spec = {"d2": ref_spec_d2, "d3": ref_spec_d3, "positivity": positivity_spec_d2}[which]
+    burn_in = 200
+    seeds = [seed - 1, seed, seed + 1]
+    y3, h3, fail3 = _simulate_paths(spec, n, seeds, burn_in=burn_in)
+    y1, h1, fail1 = _simulate_paths(spec, n, [seed], burn_in=burn_in)
+    assert y1.shape == (burn_in + n, 1, spec.d) and h1.shape == (burn_in + n, 1, spec.dbar)
+    assert fail1.tolist() == [fail3[1]]
+    assert y1[:, 0].tobytes() == y3[:, 1].tobytes()
+    assert h1[:, 0].tobytes() == h3[:, 1].tobytes()
+    if which == "positivity":
+        # Seed 32 fails at step 730: NaN from there on, except the state
+        # that failed.
+        assert fail1.tolist() == [730]
+        assert np.isfinite(y1[:730]).all() and np.isnan(y1[730:]).all()
+        assert np.isfinite(h1[:731]).all() and np.isnan(h1[731:]).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(linalg.unvech(h1[730, 0]))
