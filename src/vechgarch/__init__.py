@@ -54,7 +54,6 @@ from .moments import (
     PsiEstimate,
     default_bandwidth,
     hac_psi,
-    sample_autocovariances,
     sample_moments,
 )
 from .simulate import SimulationResult, simulate, to_x

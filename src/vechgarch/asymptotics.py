@@ -63,10 +63,10 @@ class JacobianState:
         if ms is None:
             raise InvalidInput("no standard errors for a report without moments "
                                "(an aggregation report)")
-        if report.phi_departure is not None:
+        if report.lags != 1:
             raise InvalidInput(
                 "no standard errors: the delta method differentiates the lag-1 "
-                f"Phi = m2 m1^-1, but this fit's Phi {report.phi_departure}"
+                f"Phi = m2 m1^-1, but this fit's Phi pools {report.lags} lag identities"
             )
         return cls(mean=ms.mean, m0=ms.m0, m1=ms.m1, phi=report.gamma_state.phi,
                    b=report.spec.B, sigma=report.sigma)

@@ -110,16 +110,19 @@ class GarchSpec:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Mean and the first three autocovariances of the squared-returns series.
+    """Mean and autocovariances of the squared-returns series.
 
-    ``mean`` is ``E[x_t]`` and ``m_k = E[(x_{t+k} - mean)(x_t - mean)']`` for
-    lags 0, 1 and 2: everything the closed-form estimator consumes.
+    ``mean`` is ``E[x_t]`` and ``m_k = E[(x_{t+k} - mean)(x_t - mean)']``.
+    Lags 0, 1 and 2 are everything the lag-1 estimator consumes; ``higher``
+    holds ``m3 .. m_max_lag`` for a fit that pools ``lags = K`` identities,
+    which needs ``max_lag >= K + 1``.
     """
 
     mean: np.ndarray
     m0: np.ndarray
     m1: np.ndarray
     m2: np.ndarray
+    higher: tuple = ()
 
     def __post_init__(self):
         mean = _as_float_array(self.mean, None, "mean")
@@ -129,10 +132,21 @@ class MomentSet:
         object.__setattr__(self, "mean", mean)
         for name in ("m0", "m1", "m2"):
             object.__setattr__(self, name, _as_float_array(getattr(self, name), (k, k), name))
+        object.__setattr__(self, "higher", tuple(
+            _as_float_array(m, (k, k), f"m{lag}") for lag, m in enumerate(self.higher, 3)))
 
     @property
     def dbar(self):
         return self.mean.shape[0]
+
+    @property
+    def covs(self):
+        """``(m0, m1, ..., m_max_lag)``."""
+        return (self.m0, self.m1, self.m2, *self.higher)
+
+    @property
+    def max_lag(self):
+        return 2 + len(self.higher)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Sample moments of the squared-returns series and long-run covariances.
 
 The estimator consumes the sample mean of ``x_t = vech(y_t y_t')`` and its
-first three autocovariances.  For delta-method standard errors this module
-also estimates the long-run covariance ``Psi`` of the stacked moment
-process
+autocovariances: lags 0 to 2 for the lag-1 fit, up to ``K + 1`` for a fit
+that pools ``K`` lag identities, all from :func:`sample_moments`.  For
+delta-method standard errors this module also estimates the long-run
+covariance ``Psi`` of the stacked moment process
 
     g_t = (x_t, vec(z_t z_t'), vec(z_{t+1} z_t'), vec(z_{t+2} z_t')),
 
@@ -28,7 +29,6 @@ from .model import MomentSet
 __all__ = [
     "PsiEstimate",
     "sample_moments",
-    "sample_autocovariances",
     "default_bandwidth",
     "hac_psi",
 ]
@@ -55,45 +55,35 @@ def _as_sample(x):
     return a
 
 
-def _check_count(value, name):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise InvalidInput(f"{name} must be an integer >= 0, got {value!r}")
+def _check_count(value, name, least=0):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def sample_moments(x):
-    """Mean and first three autocovariances of an ``n x dbar`` sample.
+def sample_moments(x, max_lag=2):
+    """Mean and autocovariances ``m0 .. m_max_lag`` of an ``n x dbar`` sample.
 
     Lag ``k`` pairs ``(x_{t+k}, x_t)`` are averaged with divisor ``n - k``;
     the mean is the full-sample average and is used to centre every lag.
+    The default depth 2 is what the lag-1 estimator reads; a fit pooling
+    ``K`` lag identities needs ``max_lag = K + 1``.
 
     Raises
     ------
+    InvalidInput
+        If ``max_lag`` is not an integer >= 2.
     InsufficientData
-        If fewer than 4 observations are supplied.
+        If fewer than ``max_lag + 2`` observations are supplied.
     """
     a = _as_sample(x)
+    _check_count(max_lag, "max_lag", least=2)
     n = a.shape[0]
-    if n < 4:
-        raise InsufficientData(f"need at least 4 observations, got {n}")
-    mean = a.mean(axis=0)
-    m0, m1, m2 = _autocovariances(a - mean, 2)
-    return MomentSet(mean=mean, m0=m0, m1=m1, m2=m2)
-
-
-def sample_autocovariances(x, max_lag):
-    """List ``[m0, ..., m_max_lag]`` with divisor ``n - k`` at lag ``k``."""
-    a = _as_sample(x)
-    n = a.shape[0]
-    _check_count(max_lag, "max_lag")
     if n < max_lag + 2:
         raise InsufficientData(f"need at least {max_lag + 2} observations, got {n}")
-    return _autocovariances(a - a.mean(axis=0), max_lag)
-
-
-def _autocovariances(z, max_lag):
-    """``[m0, ..., m_max_lag]`` of the centred sample ``z``."""
-    n = z.shape[0]
-    return [z[k:].T @ z[: n - k] / (n - k) for k in range(max_lag + 1)]
+    mean = a.mean(axis=0)
+    z = a - mean
+    m0, m1, m2, *higher = (z[k:].T @ z[: n - k] / (n - k) for k in range(max_lag + 1))
+    return MomentSet(mean=mean, m0=m0, m1=m1, m2=m2, higher=higher)
 
 
 def default_bandwidth(n):

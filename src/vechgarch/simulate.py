@@ -2,13 +2,18 @@
 
 Draws use ``numpy.random.Generator`` seeded with the counter-based Philox
 bit generator, whose stream is documented and stable across numpy
-releases, so a given seed reproduces the same path everywhere.  The noise
-block is drawn up front as ``standard_normal((burn_in + n, d))`` and
-consumed row by row; that draw order is part of the reproducibility
-contract.  So is its consequence, the prefix property: for ``n1 <= n2``,
-``simulate(spec, n2, seed).y[:n1]`` equals ``simulate(spec, n1, seed).y``
-bitwise, and so does ``h_path``.  The ``montecarlo`` command relies on it
-to simulate each replication once, at the largest sample size.
+releases, so a given seed gives the same draws everywhere.  The path built
+from them is bitwise reproducible only for one numpy build, one BLAS build
+and one CPU: at d >= 2 the recursion's matrix-vector products go through
+BLAS ``gemv``, whose rounding depends on the kernel the BLAS picks for the
+CPU (OpenBLAS chooses at run time, and its kernels differ in where they
+fuse multiply-adds).  The noise block is drawn up front as
+``standard_normal((burn_in + n, d))`` and consumed row by row; that draw
+order is part of the reproducibility contract.  So is its consequence, the
+prefix property: for ``n1 <= n2``, ``simulate(spec, n2, seed).y[:n1]``
+equals ``simulate(spec, n1, seed).y`` bitwise, and so does ``h_path``.
+The ``montecarlo`` command relies on it to simulate each replication once,
+at the largest sample size.
 
 At d >= 2 the recursion runs a stack of paths together in one pass, one
 batched Cholesky factorisation and a few batched products per step; every

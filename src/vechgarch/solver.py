@@ -4,7 +4,8 @@ The pipeline maps a :class:`~vechgarch.model.MomentSet` to parameter
 estimates:
 
 1. ``Phi`` from the lag identities ``m_{k+1} = Phi m_k``: ``m2 m1^{-1}``
-   at one lag, stacked least squares when ``lags > 1`` pools more of them,
+   at one lag, stacked least squares over ``m1 .. m_{K+1}`` when
+   ``lags = K > 1`` pools more of them,
 2. innovation autocovariances ``gamma0 = m0 - m1 Phi' - Phi m1' +
    Phi m0 Phi'`` and ``gamma1 = m1 - Phi m0``,
 3. the moving-average matrix ``B = -gamma1 Sigma^{-1}``, the stable solvent
@@ -36,7 +37,7 @@ from .exceptions import (
     VechGarchError,
 )
 from .model import GarchSpec, MomentSet, diagnostics
-from .moments import sample_autocovariances, sample_moments
+from .moments import sample_moments
 
 __all__ = [
     "GammaState",
@@ -118,8 +119,8 @@ class EstimateReport:
     """Full output of the closed-form estimator.
 
     Keeps the ``gamma_state`` and ``moments`` (``None`` after aggregation)
-    it was solved from, and ``phi_departure``: ``"pools K lag identities"``
-    when ``Phi`` is not ``m2 m1^{-1}``, else ``None``.  None are in JSON.
+    it was solved from, and the number ``lags`` of lag identities its
+    ``Phi`` pools (1: ``m2 m1^{-1}``).  None are in JSON.
     """
 
     spec: GarchSpec
@@ -132,7 +133,7 @@ class EstimateReport:
     diagnostics: object
     gamma_state: GammaState = field(repr=False)
     moments: MomentSet = field(default=None, repr=False)
-    phi_departure: str = None
+    lags: int = 1
 
     def to_json(self):
         return {
@@ -154,7 +155,7 @@ def _complex_list(values):
 def gammas(ms):
     """Build the lag-1 :class:`GammaState` of a moment set: ``Phi`` solves
     ``Phi m1 = m2`` exactly."""
-    return _gamma_state(ms, _estimate_phi(ms, None))
+    return _gamma_state(ms, _estimate_phi(ms, 1))
 
 
 def _gamma_state(ms, phi):
@@ -163,9 +164,9 @@ def _gamma_state(ms, phi):
     return GammaState(phi=phi, gamma0=g0, gamma1=g1)
 
 
-def _estimate_phi(ms, extra_covs):
-    if extra_covs:
-        return phi_lstsq([ms.m1, ms.m2, *extra_covs])
+def _estimate_phi(ms, lags):
+    if lags > 1:
+        return phi_lstsq(ms.covs[1 : lags + 2])
     try:
         return linalg.rsolve(ms.m2, ms.m1, name="m1")
     except SingularMatrix as exc:
@@ -357,12 +358,13 @@ def estimate(data, lags=1):
     ----------
     data : ndarray or MomentSet
         Either the ``n x dbar`` series of half-vectorised outer products
-        ``x_t`` (use :func:`vechgarch.simulate.to_x` on raw returns) or a
-        precomputed :class:`~vechgarch.model.MomentSet`.
+        ``x_t`` (use :func:`vechgarch.simulate.to_x` on raw returns), whose
+        moments are ``sample_moments(data, lags + 1)``, or a precomputed
+        :class:`~vechgarch.model.MomentSet` with ``max_lag >= lags + 1``.
     lags : int
         Number ``K`` of lag identities ``m_{k+1} = Phi m_k`` behind ``Phi``:
         ``1`` gives ``m2 m1^{-1}``, ``K > 1`` pools ``k = 1..K`` by stacked
-        least squares (:func:`phi_lstsq`) and requires raw data.
+        least squares (:func:`phi_lstsq`).
 
     Returns
     -------
@@ -372,28 +374,17 @@ def estimate(data, lags=1):
     """
     if not isinstance(lags, numbers.Integral) or lags < 1:
         raise InvalidInput(f"lags must be an integer >= 1, got {lags!r}")
-    pooled = lags > 1
-    extra = None
     if isinstance(data, MomentSet):
         ms = data
-        if pooled:
-            raise InvalidInput(
-                "lag identities beyond m2 = Phi m1 require the raw sample, "
-                "not a precomputed MomentSet"
-            )
     else:
-        x = np.asarray(data, dtype=float)
-        if pooled:
-            covs = _run_stage("moments", sample_autocovariances, x, lags + 1)
-            ms = MomentSet(mean=x.mean(axis=0), m0=covs[0], m1=covs[1], m2=covs[2])
-            extra = covs[3:]
-        else:
-            ms = _run_stage("moments", sample_moments, x)
+        ms = _run_stage("moments", sample_moments, data, lags + 1)
+    if ms.max_lag < lags + 1:
+        raise InvalidInput(f"lags={lags} needs a MomentSet with max_lag >= {lags + 1}, "
+                           f"got max_lag {ms.max_lag}")
     linalg.mat_dim(ms.dbar)  # validates the vech width
-    phi_hat = _run_stage("gammas", _estimate_phi, ms, extra)
+    phi_hat = _run_stage("gammas", _estimate_phi, ms, lags)
     report = _solve(_gamma_state(ms, phi_hat), ms.mean)
-    return replace(report, moments=ms,
-                   phi_departure=f"pools {lags} lag identities" if pooled else None)
+    return replace(report, moments=ms, lags=lags)
 
 
 # Relative asymmetry of gamma0 above which its symmetrisation is noted.

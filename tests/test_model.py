@@ -39,16 +39,35 @@ def test_spec_json_round_trip(ref_spec_d2):
             vg.GarchSpec.from_json(bad)
 
 
-@pytest.mark.parametrize("make, field", [
-    (lambda: vg.GarchSpec.from_json({"d": 1, "c": ["x"], "A": [[0.1]], "B": [[0.6]]}), "c"),
+def _moment_set(*higher):
+    return vg.MomentSet(mean=[1.0], m0=[[1.0]], m1=[[0.5]], m2=[[0.25]], higher=higher)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: vg.GarchSpec.from_json({"d": 1, "c": ["x"], "A": [[0.1]], "B": [[0.6]]}),
+     "c must be an array of numbers"),
     (lambda: vg.GarchSpec(d=2, c=[0.1] * 3, A=[[0.1, 0, 0], [0, 0.1], [0, 0, 0.1]],
-                          B=np.eye(3) * 0.5), "A"),
-    (lambda: vg.MomentSet(mean=[1.0], m0=[["a"]], m1=[[0.1]], m2=[[0.1]]), "m0"),
-    (lambda: vg.MomentSet(mean=["a"], m0=[[1.0]], m1=[[0.1]], m2=[[0.1]]), "mean"),
-], ids=["non_numeric_c", "ragged_A", "non_numeric_m0", "non_numeric_mean"])
-def test_malformed_numbers_are_refused(make, field):
-    with pytest.raises(InvalidInput, match=f"^{field} must be an array of numbers"):
+                          B=np.eye(3) * 0.5), "A must be an array of numbers"),
+    (lambda: vg.MomentSet(mean=[1.0], m0=[["a"]], m1=[[0.1]], m2=[[0.1]]),
+     "m0 must be an array of numbers"),
+    (lambda: vg.MomentSet(mean=["a"], m0=[[1.0]], m1=[[0.1]], m2=[[0.1]]),
+     "mean must be an array of numbers"),
+    (lambda: _moment_set([[0.1]], [[np.nan]]), "m4 contains non-finite entries"),
+    (lambda: _moment_set([[0.1]], [[np.inf]]), "m4 contains non-finite entries"),
+    (lambda: _moment_set([0.1]), r"m3 must have shape \(1, 1\), got \(1,\)"),
+    (lambda: _moment_set([[0.1]], np.eye(2)), r"m4 must have shape \(1, 1\), got \(2, 2\)"),
+], ids=["non_numeric_c", "ragged_A", "non_numeric_m0", "non_numeric_mean",
+        "nan_higher", "inf_higher", "flat_higher", "wide_higher"])
+def test_malformed_numbers_are_refused(make, message):
+    with pytest.raises(InvalidInput, match=f"^{message}"):
         make()
+
+
+def test_moment_set_depth():
+    ms = _moment_set([[0.125]], [[0.0625]])
+    assert (ms.max_lag, len(ms.covs), type(ms.higher)) == (4, 5, tuple)
+    assert [m[0, 0] for m in ms.covs] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+    assert _moment_set().max_lag == 2
 
 
 def test_phi_is_a_plus_b(ref_spec_d2):

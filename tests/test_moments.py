@@ -12,7 +12,6 @@ from vechgarch.moments import (
     _stacked_columns,
     default_bandwidth,
     hac_psi,
-    sample_autocovariances,
     sample_moments,
 )
 from vechgarch.simulate import simulate, to_x
@@ -30,15 +29,14 @@ def test_sample_moments_by_hand():
 
 
 def test_single_column_moments_match_a_wider_sample(rng):
-    # One column takes the multiply-and-sum path, two columns the matrix
-    # product; the shared column's moments agree to rounding.
+    # One column and two columns both take the matrix product, whose
+    # summation order may differ with the width; the shared column's
+    # moments agree to rounding at every lag.
     x = np.abs(rng.normal(size=(20_000, 2))) + 0.1
-    one, two = sample_moments(x[:, :1]), sample_moments(x)
-    for lone, pair in zip((one.m0, one.m1, one.m2), (two.m0, two.m1, two.m2)):
+    one, two = sample_moments(x[:, :1], 4), sample_moments(x, 4)
+    for lone, pair in zip(one.covs, two.covs):
         assert lone.shape == (1, 1)
         assert_allclose(lone[0, 0], pair[0, 0], rtol=1e-13)
-    assert_allclose(sample_autocovariances(x[:, :1], 4)[4][0, 0],
-                    sample_autocovariances(x, 4)[4][0, 0], rtol=1e-13)
 
 
 def test_sample_moments_needs_four_observations():
@@ -48,23 +46,32 @@ def test_sample_moments_needs_four_observations():
         sample_moments(np.ones(5))
 
 
-def test_sample_autocovariances_extends_sample_moments(rng):
+def test_deeper_sample_moments_extend_the_lag_two_set(rng):
+    # A deeper set appends lags; its mean and m0..m2 are bitwise the
+    # default set's.
     x = rng.normal(size=(50, 3))
     ms = sample_moments(x)
-    covs = sample_autocovariances(x, 3)
-    assert len(covs) == 4
-    assert_allclose(covs[0], ms.m0)
-    assert_allclose(covs[1], ms.m1)
-    assert_allclose(covs[2], ms.m2)
-    with pytest.raises(InsufficientData):
-        sample_autocovariances(np.ones((4, 1)), 3)
+    deep = sample_moments(x, 3)
+    assert (ms.max_lag, deep.max_lag, len(deep.covs), len(deep.higher)) == (2, 3, 4, 1)
+    assert np.array_equal(deep.mean, ms.mean)
+    for lag in range(3):
+        assert np.array_equal(deep.covs[lag], ms.covs[lag])
+    with pytest.raises(InsufficientData, match="need at least 5 observations, got 4"):
+        sample_moments(np.ones((4, 1)), 3)
 
 
 def test_sample_autocovariance_divisor():
     x = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     z = x - 3.0
-    covs = sample_autocovariances(x, 3)
+    covs = sample_moments(x, 3).covs
     assert_allclose(covs[3], (z[3:] * z[:-3]).sum() / 2.0)
+
+
+@pytest.mark.parametrize("max_lag", [1, 0, -1])
+def test_sample_moments_refuses_max_lag_below_two(rng, max_lag):
+    # Depth 2 is the least the estimator reads (m2 = Phi m1).
+    with pytest.raises(InvalidInput, match=f"max_lag must be an integer >= 2, got {max_lag}"):
+        sample_moments(rng.normal(size=(200, 1)), max_lag)
 
 
 def test_sample_moments_approach_population(ref_spec_d2):
@@ -220,9 +227,9 @@ def test_hac_psi_guards(rng):
 @pytest.mark.parametrize("call, message", [
     (lambda x: hac_psi(x, bandwidth=2.5), "bandwidth must be an integer >= 0, got 2.5"),
     (lambda x: hac_psi(x, bandwidth="3"), "bandwidth must be an integer >= 0, got '3'"),
-    (lambda x: sample_autocovariances(x, 2.5), "max_lag must be an integer >= 0, got 2.5"),
+    (lambda x: sample_moments(x, 2.5), "max_lag must be an integer >= 2, got 2.5"),
     (lambda x: hac_psi(x, bandwidth=True), "bandwidth must be an integer >= 0, got True"),
-    (lambda x: sample_autocovariances(x, True), "max_lag must be an integer >= 0, got True"),
+    (lambda x: sample_moments(x, True), "max_lag must be an integer >= 2, got True"),
 ], ids=["bandwidth_float", "bandwidth_str", "max_lag_float", "bandwidth_bool", "max_lag_bool"])
 def test_non_integer_counts_are_refused(rng, call, message):
     with pytest.raises(InvalidInput, match=message):

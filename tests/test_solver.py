@@ -354,7 +354,7 @@ def test_estimate_rejects_bad_arguments(ref_spec_d1):
         estimate(x, lags=0)
     with pytest.raises(InvalidInput, match="integer"):
         estimate(x, lags=2.5)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="lags=2 needs a MomentSet with max_lag >= 3"):
         estimate(sample_moments(x), lags=2)
     with pytest.raises(InvalidInput):
         estimate(np.ones((100, 2)))  # 2 is not a vech width
@@ -374,22 +374,83 @@ def test_estimate_lags_pool_by_stacked_least_squares(ref_spec_d2):
     # least-squares solution over m1..m_{K+1}, and the report says so.
     x = to_x(simulate(ref_spec_d2, 5_000, seed=59).y)
     report = estimate(x, lags=3)
-    covs = vg.sample_autocovariances(x, 4)
+    covs = sample_moments(x, 4).covs
     assert_allclose(report.gamma_state.phi, phi_lstsq(covs[1:]), rtol=1e-12)
-    assert report.phi_departure == "pools 3 lag identities"
+    assert report.lags == 3
 
 
 @pytest.mark.parametrize("lags", [2, 3, 4])
 def test_pooled_estimate_reads_its_moments_from_one_pass(ref_spec_d2, lags):
-    # The MomentSet comes from the lag-0..K+1 autocovariances; it is bitwise
-    # the one sample_moments computes, and so is the pooled Phi.
+    # The MomentSet holds the lag-0..K+1 autocovariances; its m0..m2 are
+    # bitwise the default sample_moments', and the pooled Phi is the
+    # stacked least squares over its m1..m_{K+1}.
     x = to_x(simulate(ref_spec_d2, 3_000, seed=61).y)
     report = estimate(x, lags=lags)
     ms = sample_moments(x)
+    assert report.moments.max_lag == lags + 1
     for name in ("mean", "m0", "m1", "m2"):
         assert np.array_equal(getattr(report.moments, name), getattr(ms, name)), name
-    extra = vg.sample_autocovariances(x, lags + 1)[3:]
-    assert np.array_equal(report.gamma_state.phi, phi_lstsq([ms.m1, ms.m2, *extra]))
+    covs = sample_moments(x, lags + 1).covs
+    assert np.array_equal(report.gamma_state.phi, phi_lstsq(covs[1:]))
+    assert report.lags == lags
+
+
+def _deep_population_moments(spec, sigma, max_lag):
+    """``population_moments`` extended by ``m_{k+1} = Phi m_k``."""
+    ms = vg.population_moments(spec, sigma)
+    covs = list(ms.covs)
+    while len(covs) <= max_lag:
+        covs.append(spec.phi @ covs[-1])
+    return vg.MomentSet(mean=ms.mean, m0=covs[0], m1=covs[1], m2=covs[2],
+                        higher=covs[3:])
+
+
+@pytest.mark.parametrize("lags", [2, 4, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pooled_estimate_round_trips_population_moments(
+        ref_spec_d1, ref_spec_d2, ref_spec_d3, d, lags):
+    # At exact moments every lag identity holds, so pooling K of them gives
+    # back (c, A, B, Sigma) within the acceptance suite's round-trip bound.
+    spec = {1: ref_spec_d1, 2: ref_spec_d2, 3: ref_spec_d3}[d]
+    sigma = vg.random_sigma(spec.dbar, np.random.Generator(np.random.Philox(10 + d)))
+    report = estimate(_deep_population_moments(spec, sigma, lags + 1), lags=lags)
+    err = max(np.abs(report.spec.c - spec.c).max(), np.abs(report.spec.A - spec.A).max(),
+              np.abs(report.spec.B - spec.B).max(), np.abs(report.sigma - sigma).max())
+    assert err <= 1e-8
+    assert report.lags == lags
+
+
+def test_shallow_moment_set_is_refused_by_name(ref_spec_d2):
+    sigma = vg.random_sigma(3, np.random.Generator(np.random.Philox(12)))
+    ms = _deep_population_moments(ref_spec_d2, sigma, 4)
+    estimate(ms, lags=3)
+    with pytest.raises(InvalidInput, match="^lags=4 needs a MomentSet with max_lag >= 5, "
+                                           "got max_lag 4$"):
+        estimate(ms, lags=4)
+
+
+def _assert_same_fit(one, two):
+    for name in ("c", "A", "B"):
+        assert np.array_equal(getattr(one.spec, name), getattr(two.spec, name)), name
+    for name in ("sigma", "p_eigenvalues", "b_eigenvalues"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert (one.residual_pme, one.residual_nme, one.lags) == \
+        (two.residual_pme, two.residual_nme, two.lags)
+    for name in ("phi", "gamma0", "gamma1"):
+        assert np.array_equal(getattr(one.gamma_state, name), getattr(two.gamma_state, name))
+
+
+@pytest.mark.parametrize("lags", [2, 4])
+def test_pooled_estimate_from_sample_moments_matches_the_sample(ref_spec_d2, lags):
+    x = to_x(simulate(ref_spec_d2, 3_000, seed=67).y)
+    _assert_same_fit(estimate(sample_moments(x, lags + 1), lags=lags), estimate(x, lags=lags))
+
+
+def test_lag_one_fit_ignores_deeper_moments(ref_spec_d2):
+    # n = 2e4, as the benchmark's fits: at 3000 draws the lag-1 ratio can
+    # land on the unit circle and both calls refuse alike.
+    x = to_x(simulate(ref_spec_d2, 20_000, seed=71).y)
+    _assert_same_fit(estimate(sample_moments(x, 5)), estimate(x))
 
 
 def test_estimate_refuses_explosive_phi():
