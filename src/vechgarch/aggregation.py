@@ -16,14 +16,13 @@ moment is ``m h``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .exceptions import InvalidInput, MissingSigmaW
-from .model import GarchSpec, _as_covariance, _as_float_array, uncond_h
+from .model import GarchSpec, _as_covariance, uncond_h
 from .solver import EstimateReport, GammaState, _solve
 
 __all__ = [
@@ -57,8 +56,7 @@ class AggregationInput:
     def __post_init__(self):
         if self.kind not in ("stock", "flow"):
             raise InvalidInput(f"kind must be 'stock' or 'flow', got {self.kind!r}")
-        _check_m(self.m)
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", linalg._as_count(self.m, "m", least=1))
         k = self.spec.dbar
         object.__setattr__(self, "sigma", _as_covariance(self.sigma, k, "sigma"))
         if self.kind == "flow":
@@ -151,16 +149,11 @@ def _flow_noise(sigma_w, k, m):
                 "matrix for noiseless aggregation)"
             )
         return np.zeros((k, k))
-    s = _as_float_array(sigma_w, (k, k), "sigma_w")
+    s = linalg._as_array(sigma_w, "sigma_w", (k, k))
     linalg.check_symmetric(s, "sigma_w")
     if np.linalg.eigvalsh(s)[0] < -1e-12 * (1.0 + np.linalg.norm(s)):
         raise InvalidInput("sigma_w must be positive semidefinite")
     return s
-
-
-def _check_m(m):
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
 
 
 def aggregate_params(inp):
@@ -198,12 +191,10 @@ def aggregate_data(y, m, kind="stock"):
     of each block); flow aggregation sums consecutive blocks of ``m``
     rows.  A trailing incomplete block is dropped.
     """
-    a = np.asarray(y, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"y must be an n x d matrix, got shape {a.shape}")
+    a = linalg._as_array(y, "y", ndim=2)
     if kind not in ("stock", "flow"):
         raise InvalidInput(f"kind must be 'stock' or 'flow', got {kind!r}")
-    _check_m(m)
+    m = linalg._as_count(m, "m", least=1)
     n_blocks = a.shape[0] // m
     if n_blocks == 0:
         raise InvalidInput(f"need at least {m} rows to aggregate with m = {m}")

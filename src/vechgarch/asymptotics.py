@@ -44,6 +44,12 @@ class JacobianState:
     b: np.ndarray
     sigma: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "mean", linalg._as_array(self.mean, "mean", ndim=1))
+        for name in ("m0", "m1", "phi", "b", "sigma"):
+            object.__setattr__(self, name, linalg._as_array(getattr(self, name), name,
+                                                            2 * self.mean.shape))
+
     @property
     def dbar(self):
         return self.mean.shape[0]
@@ -123,11 +129,12 @@ def jacobian_action(js, dmean, dm0, dm1, dm2):
     Returns the triple ``(dc, dA, dB)``.
     """
     k = js.dbar
-    dmean = np.asarray(dmean, dtype=float)
+    dmean = linalg._as_array(dmean, "dmean")
     lead = dmean.shape[:-1]
-    dmean = dmean.reshape(lead + (k,))
-    dm0, dm1, dm2 = (np.asarray(m, dtype=float).reshape(lead + (k, k))
-                     for m in (dm0, dm1, dm2))
+    if dmean.shape[-1:] != (k,):
+        raise InvalidInput(f"dmean must have shape (..., {k}), got {dmean.shape}")
+    dm0, dm1, dm2 = (linalg._as_array(m, name, lead + (k, k))
+                     for name, m in (("dm0", dm0), ("dm1", dm1), ("dm2", dm2)))
     phi, m0, m1 = js.phi, js.m0, js.m1
     b, sigma = js.b, js.sigma
     dphi = linalg.rsolve(dm2 - phi @ dm1, m1, name="m1")
@@ -176,11 +183,10 @@ def xi(jac, psi, n):
     product (rounding of a rank deficient ``J Psi J'``) are clipped at zero,
     and ``clipped`` reports whether that happened.
     """
-    if n < 1:
-        raise InvalidInput(f"n must be >= 1, got {n}")
+    n = linalg._as_count(n, "n", least=1)
     if not isinstance(psi, PsiEstimate):
         raise InvalidInput(f"psi must be a PsiEstimate, got {type(psi).__name__}")
-    j = np.asarray(jac, dtype=float)
+    j = linalg._as_array(jac, "jac", ndim=2)
     if psi.psi.shape != (j.shape[1], j.shape[1]):
         raise InvalidInput(
             f"psi has shape {psi.psi.shape}, expected {(j.shape[1], j.shape[1])}"
@@ -196,7 +202,7 @@ def xi(jac, psi, n):
         std_errors=se,
         param_names=_names_from_rows(j.shape[0]),
         bandwidth=psi.bandwidth,
-        n=int(n),
+        n=n,
         clipped=clipped,
     )
 
@@ -218,6 +224,5 @@ def standard_errors(report, x, bandwidth=None):
     Raises ``InvalidInput`` for a report without moments, or whose ``Phi``
     pools lags.
     """
-    a = np.asarray(x, dtype=float)
     js = JacobianState._from_report(report)
-    return xi(jacobian_matrix(js), hac_psi(a, bandwidth=bandwidth), a.shape[0])
+    return xi(jacobian_matrix(js), hac_psi(x, bandwidth=bandwidth), len(x))

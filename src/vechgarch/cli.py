@@ -45,17 +45,6 @@ def _load_json(path, what):
         raise InvalidInput(f"{what} at {path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(path, what):
-    data = _load_json(path, what)
-    try:
-        m = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{what} at {path} must be a numeric matrix") from exc
-    if m.ndim != 2:
-        raise InvalidInput(f"{what} at {path} must be two-dimensional")
-    return m
-
-
 def _dump_json(payload, path):
     text = json.dumps(payload)
     if path is None:
@@ -93,10 +82,10 @@ def cmd_estimate(args):
 
 def cmd_aggregate(args):
     spec = GarchSpec.from_json(_load_json(args.params, "spec"))
-    sigma = _load_matrix(args.sigma, "sigma")
+    sigma = _load_json(args.sigma, "sigma")
     sigma_w = None
     if args.sigma_w is not None:
-        sigma_w = _load_matrix(args.sigma_w, "sigma_w")
+        sigma_w = _load_json(args.sigma_w, "sigma_w")
     try:
         inp = AggregationInput(spec=spec, sigma=sigma, m=args.m, kind=args.kind,
                                sigma_w=sigma_w)
@@ -265,7 +254,7 @@ def _build_parser():
     sim = sub.add_parser("simulate", help="simulate a sample path to CSV")
     sim.add_argument("--params", required=True, help="spec JSON file")
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--n", type=int, required=True, help="number of observations")
+    sim.add_argument("--n", type=_positive_int, required=True, help="number of observations")
     sim.add_argument("--seed", type=_nonnegative_int, default=0)
     sim.add_argument("--burn-in", type=_nonnegative_int, default=1000, dest="burn_in")
     sim.set_defaults(func=cmd_simulate)

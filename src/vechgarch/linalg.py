@@ -10,6 +10,7 @@ LAPACK-backed numpy routines are used throughout.  The half-vectorisation
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,24 +60,39 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _as_stack(m, name="matrix"):
-    a = np.asarray(m, dtype=float)
-    if a.ndim < 2:
-        raise InvalidInput(f"{name} must be at least two-dimensional, got shape {a.shape}")
-    if not np.isfinite(a).all():
+def _as_array(value, name, shape=None, ndim=None, finite=True):
+    """``value`` as a float array, of ``shape`` or with ``ndim`` dimensions
+    when given and with finite entries unless ``finite`` is false; refused
+    with ``InvalidInput`` naming it.
+
+    The one check of every array a public function takes from its caller.
+    """
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be an array of numbers: {exc}") from exc
+    if shape is not None and a.shape != shape:
+        raise InvalidInput(f"{name} must have shape {shape}, got {a.shape}")
+    if ndim is not None and a.ndim != ndim:
+        raise InvalidInput(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return a
 
 
-def _as_matrix(m, name="matrix"):
-    a = _as_stack(m, name)
-    if a.ndim != 2:
-        raise InvalidInput(f"{name} must be two-dimensional, got shape {a.shape}")
-    return a
+def _as_count(value, name, least=0):
+    """``value`` as a plain ``int >= least``; refused with ``InvalidInput``
+    naming it if it is no integer (a bool is none) or is smaller.
+
+    The one check of every count a public function takes from its caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _as_square(m, name="matrix"):
-    a = _as_matrix(m, name)
+    a = _as_array(m, name, ndim=2)
     if a.shape[0] != a.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     return a
@@ -96,32 +112,30 @@ def vech_indices(d):
 
 def vech_dim(d):
     """Length of the half-vectorisation of a ``d x d`` symmetric matrix."""
-    if d < 1:
-        raise InvalidInput(f"matrix dimension must be >= 1, got {d}")
+    d = _as_count(d, "d", least=1)
     return d * (d + 1) // 2
 
 
 def mat_dim(dbar):
     """Invert ``d*(d+1)/2``; errors if ``dbar`` is not a triangular number."""
-    d = int((math.isqrt(8 * int(dbar) + 1) - 1) // 2)
-    if d < 1 or d * (d + 1) // 2 != dbar:
+    dbar = _as_count(dbar, "dbar", least=1)
+    d = (math.isqrt(8 * dbar + 1) - 1) // 2
+    if d * (d + 1) // 2 != dbar:
         raise InvalidInput(f"{dbar} is not a valid vech length d*(d+1)/2")
     return d
 
 
 def vech(m):
     """Half-vectorise a symmetric matrix (lower triangle, column by column)."""
-    a = _as_square(m)
-    check_symmetric(a)
+    a = _as_square(m, "m")
+    check_symmetric(a, "m")
     rows, cols = vech_indices(a.shape[0])
     return a[rows, cols].copy()
 
 
 def unvech(v):
     """Rebuild the symmetric matrix whose half-vectorisation is ``v``."""
-    x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInput(f"vech input must be one-dimensional, got shape {x.shape}")
+    x = _as_array(v, "v", ndim=1)
     d = mat_dim(x.shape[0])
     rows, cols = vech_indices(d)
     out = np.zeros((d, d))
@@ -209,7 +223,7 @@ def dlyap(b, q):
     each solution is symmetrised when its own ``Q`` is symmetric.
     """
     bm = _as_square(b, "B")
-    qm = _as_stack(q, "Q")
+    qm = _as_array(q, "Q")
     if qm.shape[-2:] != bm.shape:
         raise InvalidInput(f"Q must be {bm.shape} like B, got shape {qm.shape}")
     rho = spectral_radius(bm)
@@ -252,9 +266,9 @@ def _check_invertible(a, name):
 def solve(a, b, name="matrix"):
     """Solve ``A X = B`` for square ``A`` with an explicit singularity check."""
     am = _as_square(a, name)
-    bm = np.asarray(b, dtype=float)
-    if not np.isfinite(bm).all():
-        raise InvalidInput("right-hand side contains non-finite entries")
+    bm = _as_array(b, "b")
+    if bm.ndim > 2 or bm.shape[:1] != am.shape[:1]:
+        raise InvalidInput(f"b of shape {bm.shape} does not match {name} of shape {am.shape}")
     _check_invertible(am, name)
     return np.linalg.solve(am, bm)
 
@@ -266,10 +280,9 @@ def rsolve(b, a, name="matrix"):
     row of every slice is solved in one call.
     """
     am = _as_square(a, name)
-    bm = np.asarray(b, dtype=float)
+    bm = _as_array(b, "b")
     if bm.shape[-1:] != am.shape[:1]:
-        raise InvalidInput(f"right-hand side of shape {bm.shape} does not match {name} "
-                           f"of shape {am.shape}")
+        raise InvalidInput(f"b of shape {bm.shape} does not match {name} of shape {am.shape}")
     _check_invertible(am, name)
     rows = bm.reshape(-1, am.shape[0])
     return np.linalg.solve(am.T, rows.T).T.reshape(bm.shape)
@@ -282,8 +295,8 @@ def lstsq(a, b):
     Rank deficiency of ``A`` (non-unique minimiser) raises
     :class:`~vechgarch.exceptions.SingularMatrix`.
     """
-    am = _as_matrix(a, "A")
-    bm = _as_matrix(b, "B")
+    am = _as_array(a, "A", ndim=2)
+    bm = _as_array(b, "B", ndim=2)
     if am.shape[1] != bm.shape[1]:
         raise InvalidInput(
             f"A and B must have the same number of columns, got {am.shape} and {bm.shape}"
@@ -300,6 +313,6 @@ def power_sequence(m, k_max):
     """Return ``[I, M, M^2, ..., M^k_max]``, accumulated incrementally."""
     a = _as_square(m)
     powers = [np.eye(a.shape[0])]
-    for _ in range(k_max):
+    for _ in range(_as_count(k_max, "k_max")):
         powers.append(powers[-1] @ a)
     return powers

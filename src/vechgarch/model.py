@@ -14,7 +14,6 @@ covariance ``Sigma`` is a free input at the population level.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,25 +33,13 @@ __all__ = [
 ]
 
 
-def _as_float_array(value, shape, name):
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} must be an array of numbers: {exc}") from exc
-    if shape is not None and a.shape != shape:
-        raise InvalidInput(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return a
-
-
 def _as_covariance(value, k, name):
     """``value`` as a finite ``k x k`` symmetric positive definite matrix.
 
     Raises ``InvalidInput`` (shape, entries, symmetry) or
     ``NotPositiveDefinite``, naming the input.
     """
-    s = _as_float_array(value, (k, k), name)
+    s = linalg._as_array(value, name, (k, k))
     linalg.cholesky(s, name)
     return s
 
@@ -73,13 +60,11 @@ class GarchSpec:
     B: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.d, numbers.Integral) or self.d < 1:
-            raise InvalidInput(f"d must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", linalg._as_count(self.d, "d", least=1))
         k = linalg.vech_dim(self.d)
-        object.__setattr__(self, "c", _as_float_array(self.c, (k,), "c"))
-        object.__setattr__(self, "A", _as_float_array(self.A, (k, k), "A"))
-        object.__setattr__(self, "B", _as_float_array(self.B, (k, k), "B"))
+        object.__setattr__(self, "c", linalg._as_array(self.c, "c", (k,)))
+        object.__setattr__(self, "A", linalg._as_array(self.A, "A", (k, k)))
+        object.__setattr__(self, "B", linalg._as_array(self.B, "B", (k, k)))
 
     @property
     def dbar(self):
@@ -125,15 +110,13 @@ class MomentSet:
     higher: tuple = ()
 
     def __post_init__(self):
-        mean = _as_float_array(self.mean, None, "mean")
-        if mean.ndim != 1:
-            raise InvalidInput(f"mean must be one-dimensional, got shape {mean.shape}")
+        mean = linalg._as_array(self.mean, "mean", ndim=1)
         k = mean.shape[0]
         object.__setattr__(self, "mean", mean)
         for name in ("m0", "m1", "m2"):
-            object.__setattr__(self, name, _as_float_array(getattr(self, name), (k, k), name))
+            object.__setattr__(self, name, linalg._as_array(getattr(self, name), name, (k, k)))
         object.__setattr__(self, "higher", tuple(
-            _as_float_array(m, (k, k), f"m{lag}") for lag, m in enumerate(self.higher, 3)))
+            linalg._as_array(m, f"m{lag}", (k, k)) for lag, m in enumerate(self.higher, 3)))
 
     @property
     def dbar(self):
@@ -283,5 +266,6 @@ def random_spec(d, rng):
 
 def random_sigma(dbar, rng, scale=1.0):
     """Draw a random symmetric positive definite innovation covariance."""
+    dbar = linalg._as_count(dbar, "dbar", least=1)
     w = rng.standard_normal((dbar, dbar))
     return scale * (w @ w.T / dbar + 0.5 * np.eye(dbar))

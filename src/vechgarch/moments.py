@@ -18,12 +18,12 @@ its working memory is ``O(p (block + bandwidth))`` floats,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientData, InvalidInput
+from . import linalg
+from .exceptions import InsufficientData
 from .model import MomentSet
 
 __all__ = [
@@ -45,19 +45,9 @@ class PsiEstimate:
     psi: np.ndarray
     bandwidth: int
 
-
-def _as_sample(x):
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"x must be an n x dbar matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("x contains non-finite entries")
-    return a
-
-
-def _check_count(value, name, least=0):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+    def __post_init__(self):
+        object.__setattr__(self, "psi", linalg._as_square(self.psi, "psi"))
+        object.__setattr__(self, "bandwidth", linalg._as_count(self.bandwidth, "bandwidth"))
 
 
 def sample_moments(x, max_lag=2):
@@ -75,8 +65,8 @@ def sample_moments(x, max_lag=2):
     InsufficientData
         If fewer than ``max_lag + 2`` observations are supplied.
     """
-    a = _as_sample(x)
-    _check_count(max_lag, "max_lag", least=2)
+    a = linalg._as_array(x, "x", ndim=2)
+    max_lag = linalg._as_count(max_lag, "max_lag", least=2)
     n = a.shape[0]
     if n < max_lag + 2:
         raise InsufficientData(f"need at least {max_lag + 2} observations, got {n}")
@@ -88,6 +78,7 @@ def sample_moments(x, max_lag=2):
 
 def default_bandwidth(n):
     """Bartlett-kernel bandwidth ``floor(4 (n/100)^{2/9})``."""
+    n = linalg._as_count(n, "n")
     return int(math.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
@@ -155,11 +146,11 @@ def hac_psi(x, bandwidth=None):
     -------
     PsiEstimate
     """
-    a = _as_sample(x)
+    a = linalg._as_array(x, "x", ndim=2)
     n = a.shape[0]
     if bandwidth is None:
         bandwidth = default_bandwidth(n)
-    _check_count(bandwidth, "bandwidth")
+    bandwidth = linalg._as_count(bandwidth, "bandwidth")
     if n <= 10 * max(bandwidth, 1):
         raise InsufficientData(
             f"need more than {10 * max(bandwidth, 1)} observations for bandwidth "
@@ -197,4 +188,4 @@ def hac_psi(x, bandwidth=None):
         psi += box @ box.T
         buf[:, :w] = buf[:, b : b + w]
     psi /= n_g * w
-    return PsiEstimate(psi=psi, bandwidth=int(bandwidth))
+    return PsiEstimate(psi=psi, bandwidth=bandwidth)

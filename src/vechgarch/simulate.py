@@ -34,7 +34,6 @@ writes.  Seventeen significant digits round-trip a double, so
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -111,15 +110,9 @@ def _simulate_paths(spec, n, seeds, burn_in):
     ``burn_in + n``.  A failed path's rows from ``fail`` on are NaN, except
     ``h_path[fail]``, which holds the covariance that failed.
     """
-    for name, value in [("n", n), ("burn_in", burn_in)] + [("seed", s) for s in seeds]:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if n < 1:
-        raise InvalidInput(f"n must be positive, got {n}")
-    if burn_in < 0:
-        raise InvalidInput(f"burn_in must be >= 0, got {burn_in}")
-    if min(seeds) < 0:
-        raise InvalidInput(f"seed must be >= 0, got {min(seeds)}")
+    n = linalg._as_count(n, "n", least=1)
+    burn_in = linalg._as_count(burn_in, "burn_in")
+    seeds = [linalg._as_count(seed, "seed") for seed in seeds]
     from .model import uncond_h  # local import to avoid a cycle at import time
 
     h0 = uncond_h(spec)
@@ -221,13 +214,11 @@ def _recursion(spec, h0, eps):
 
 def to_x(y):
     """Map returns to half-vectorised outer products ``x_t = vech(y_t y_t')``."""
-    a = np.asarray(y, dtype=float)
+    a = linalg._as_array(y, "y")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise InvalidInput(f"y must be an n x d matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("y contains non-finite entries")
     rows, cols = linalg.vech_indices(a.shape[1])
     return a[:, rows] * a[:, cols]
 
@@ -240,9 +231,7 @@ def write_returns_csv(y, path):
 
     The bytes are those of the ``np.savetxt`` call in the module docstring.
     """
-    a = np.asarray(y, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"y must be an n x d matrix, got shape {a.shape}")
+    a = linalg._as_array(y, "y", ndim=2, finite=False)
     row = ",".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"y{i + 1}" for i in range(a.shape[1])) + "\n")

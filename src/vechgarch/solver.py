@@ -23,7 +23,6 @@ fixed-point recursion that converges quadratically, not an optimiser.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,19 +69,11 @@ class GammaState:
     gamma0_asymmetry: float = field(init=False)
 
     def __post_init__(self):
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
-        g0 = np.atleast_2d(np.asarray(self.gamma0, dtype=float))
-        g1 = np.atleast_2d(np.asarray(self.gamma1, dtype=float))
-        k = g0.shape[0]
-        for name, m in (("phi", phi), ("gamma0", g0), ("gamma1", g1)):
-            if m.shape != (k, k):
-                raise InvalidInput(f"{name} must have shape {(k, k)}, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise InvalidInput(f"{name} contains non-finite entries")
-        object.__setattr__(self, "phi", phi)
+        g0 = linalg._as_square(self.gamma0, "gamma0")
+        for name in ("phi", "gamma1"):
+            object.__setattr__(self, name, linalg._as_array(getattr(self, name), name, g0.shape))
         object.__setattr__(self, "gamma0_asymmetry", linalg.asymmetry(g0))
         object.__setattr__(self, "gamma0", linalg.sym(g0))
-        object.__setattr__(self, "gamma1", g1)
 
     @property
     def dbar(self):
@@ -184,9 +175,10 @@ def phi_lstsq(covs):
     Reduces to the plain lag-1 solution when ``K = 1`` and ``m1`` is
     invertible.
     """
-    if len(covs) < 2:
+    c = linalg._as_array(covs, "covs", ndim=3)
+    if len(c) < 2:
         raise InvalidInput("need at least two autocovariances (m1 and m2)")
-    return linalg.lstsq(np.hstack(covs[:-1]), np.hstack(covs[1:]))
+    return linalg.lstsq(np.hstack(c[:-1]), np.hstack(c[1:]))
 
 
 def build_p(gs):
@@ -215,14 +207,14 @@ def build_p(gs):
 
 def pme_residual(gs, b):
     """Frobenius residual of the palindromic quadratic at ``b``."""
-    bt = np.asarray(b).T
+    bt = linalg._as_array(b, "b", gs.gamma0.shape).T
     res = gs.gamma1.T + gs.gamma0 @ bt + gs.gamma1 @ (bt @ bt)
     return float(np.linalg.norm(res))
 
 
 def nme_residual(gs, sigma):
     """Frobenius residual of ``gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'``."""
-    inv_term = linalg.solve(np.asarray(sigma, dtype=float), gs.gamma1.T, name="sigma")
+    inv_term = linalg.solve(sigma, gs.gamma1.T, name="sigma")
     res = gs.gamma0 - sigma - gs.gamma1 @ inv_term
     return float(np.linalg.norm(res))
 
@@ -318,7 +310,7 @@ def recover_sigma(b, gs):
     non-positive-definite result is reported through a warning entry,
     never repaired.
     """
-    bm = np.atleast_2d(np.asarray(b, dtype=float))
+    bm = linalg._as_array(b, "b", gs.gamma0.shape)
     raw = gs.gamma0 + gs.gamma1 @ bm.T
     gap = linalg.asymmetry(raw)
     sigma = linalg.sym(raw)
@@ -372,8 +364,7 @@ def estimate(data, lags=1):
         Parameter estimates plus spectral data, equation residuals and
         diagnostics; soft repairs are listed in ``diagnostics.warnings``.
     """
-    if not isinstance(lags, numbers.Integral) or lags < 1:
-        raise InvalidInput(f"lags must be an integer >= 1, got {lags!r}")
+    lags = linalg._as_count(lags, "lags", least=1)
     if isinstance(data, MomentSet):
         ms = data
     else:

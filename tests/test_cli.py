@@ -52,10 +52,13 @@ def test_simulate_is_deterministic(tmp_path, spec_file):
 
 
 def test_simulate_rejects_nonpositive_n(tmp_path, spec_file, capsys):
-    code = run_cli("simulate", "--params", spec_file,
-                   "--out", tmp_path / "y.csv", "--n", 0)
-    assert code == 1
-    assert "n must be positive" in capsys.readouterr().err
+    # --n is parsed like every other count flag, so argparse refuses it.
+    for n in (0, -5):
+        code = run_cli("simulate", "--params", spec_file,
+                       "--out", tmp_path / "y.csv", "--n", n)
+        assert code == 1
+        assert f"argument --n: must be positive, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
 
 
 def test_simulate_positivity_failure_is_exit_2(tmp_path, capsys):
@@ -302,7 +305,9 @@ def test_aggregate_flow_refuses_negative_noise(tmp_path, capsys):
 @pytest.mark.parametrize("sigma, message", [
     ("[[-1.0]]", "sigma is not positive definite"),
     ("[[NaN]]", "sigma"),
-], ids=["not_pd", "nan"])
+    ('[["a"]]', "sigma must be an array of numbers"),
+    ("[1.0]", "sigma must have shape (1, 1), got (1,)"),
+], ids=["not_pd", "nan", "non_numeric", "flat"])
 def test_aggregate_refused_sigma_is_exit_1(tmp_path, spec_file, sigma, message, capsys):
     path = tmp_path / "sigma.json"
     path.write_text(sigma)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vechgarch as vg
 from vechgarch import linalg
 from vechgarch.exceptions import (
     InvalidInput,
@@ -221,3 +222,60 @@ def test_power_sequence():
     assert_allclose(powers[1], m)
     assert_allclose(powers[2], 0.0)
     assert_allclose(powers[3], 0.0)
+
+
+# Every array and count a public function takes from its caller goes through
+# linalg._as_array or linalg._as_count; these rows cover the modules without
+# a refusal table of their own.
+NON_NUMERIC = [["a"]]
+SCALAR = vg.GarchSpec(d=1, c=[0.1], A=[[0.1]], B=[[0.8]])
+
+
+def _scalar_fit():
+    return vg.estimate(vg.population_moments(SCALAR, [[1.0]]))
+
+
+def _scalar_jacobian():
+    return vg.jacobian_matrix(vg.JacobianState.from_moments(_scalar_fit().moments))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.vech(NON_NUMERIC), "m must be an array of numbers"),
+    (lambda: linalg.unvech(["a"]), "v must be an array of numbers"),
+    (lambda: linalg.dlyap(NON_NUMERIC, [[1.0]]), "B must be an array of numbers"),
+    (lambda: linalg.dlyap([[0.5]], NON_NUMERIC), "Q must be an array of numbers"),
+    (lambda: vg.to_x(NON_NUMERIC), "y must be an array of numbers"),
+    (lambda: vg.GammaState(phi=NON_NUMERIC, gamma0=[[1.0]], gamma1=[[0.1]]),
+     "phi must be an array of numbers"),
+    (lambda: vg.aggregate_data(NON_NUMERIC, 1), "y must be an array of numbers"),
+    (lambda: vg.aggregate_data([[0.1], [np.nan]], 1), "y contains non-finite entries"),
+    (lambda: vg.aggregate_data(np.ones((4, 1)), True), "m must be an integer >= 1, got True"),
+    (lambda: vg.AggregationInput(SCALAR, [[1.0]], True), "m must be an integer >= 1, got True"),
+    (lambda: vg.estimate(_scalar_fit().moments, lags=True),
+     "lags must be an integer >= 1, got True"),
+    (lambda: vg.standard_errors(_scalar_fit(), NON_NUMERIC), "x must be an array of numbers"),
+    (lambda: vg.xi(_scalar_jacobian(), vg.PsiEstimate(psi=np.eye(4), bandwidth=0), True),
+     "n must be an integer >= 1, got True"),
+    (lambda: vg.xi(_scalar_jacobian(), vg.PsiEstimate(psi=np.eye(4), bandwidth=0), 2.5),
+     "n must be an integer >= 1, got 2.5"),
+], ids=["vech", "unvech", "dlyap_b", "dlyap_q", "to_x", "gamma_state", "aggregate_data",
+        "aggregate_data_nan", "aggregate_data_m_bool", "aggregation_input_m_bool",
+        "estimate_lags_bool", "standard_errors", "xi_n_bool", "xi_n_float"])
+def test_malformed_inputs_are_refused(call, message):
+    with pytest.raises(InvalidInput, match=f"^{message}"):
+        call()
+
+
+def test_numpy_integer_counts_come_back_as_int(rng):
+    i = np.int64
+    x = rng.normal(size=(200, 1))
+    psi = vg.hac_psi(x, bandwidth=i(3))
+    counts = [
+        vg.estimate(_scalar_fit().moments, lags=i(1)).lags,
+        vg.GarchSpec(d=i(1), c=[0.1], A=[[0.1]], B=[[0.8]]).d,
+        vg.AggregationInput(SCALAR, [[1.0]], i(2)).m,
+        psi.bandwidth,
+        vg.xi(_scalar_jacobian(), vg.PsiEstimate(psi=np.eye(4), bandwidth=i(0)), i(10)).n,
+    ]
+    assert [type(c) for c in counts] == [int] * 5
+    assert counts == [1, 1, 2, 3, 10]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,7 +20,7 @@ def test_spec_validation():
         vg.GarchSpec(d=1, c=[np.nan], A=[[0.1]], B=[[0.1]])
     # d must be an integer, not truncated to one; numpy integers count.
     for d in (1.9, 1.0, "1"):
-        with pytest.raises(InvalidInput, match="d must be a positive integer"):
+        with pytest.raises(InvalidInput, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
             vg.GarchSpec(d=d, c=[0.1], A=[[0.1]], B=[[0.1]])
     spec = vg.GarchSpec(d=np.int64(1), c=[0.1], A=[[0.1]], B=[[0.1]])
     assert type(spec.d) is int and spec.d == 1
@@ -56,8 +58,10 @@ def _moment_set(*higher):
     (lambda: _moment_set([[0.1]], [[np.inf]]), "m4 contains non-finite entries"),
     (lambda: _moment_set([0.1]), r"m3 must have shape \(1, 1\), got \(1,\)"),
     (lambda: _moment_set([[0.1]], np.eye(2)), r"m4 must have shape \(1, 1\), got \(2, 2\)"),
+    (lambda: vg.GarchSpec(d=True, c=[0.1], A=[[0.1]], B=[[0.6]]),
+     "d must be an integer >= 1, got True"),
 ], ids=["non_numeric_c", "ragged_A", "non_numeric_m0", "non_numeric_mean",
-        "nan_higher", "inf_higher", "flat_higher", "wide_higher"])
+        "nan_higher", "inf_higher", "flat_higher", "wide_higher", "bool_d"])
 def test_malformed_numbers_are_refused(make, message):
     with pytest.raises(InvalidInput, match=f"^{message}"):
         make()

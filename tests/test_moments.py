@@ -230,7 +230,10 @@ def test_hac_psi_guards(rng):
     (lambda x: sample_moments(x, 2.5), "max_lag must be an integer >= 2, got 2.5"),
     (lambda x: hac_psi(x, bandwidth=True), "bandwidth must be an integer >= 0, got True"),
     (lambda x: sample_moments(x, True), "max_lag must be an integer >= 2, got True"),
-], ids=["bandwidth_float", "bandwidth_str", "max_lag_float", "bandwidth_bool", "max_lag_bool"])
+    (lambda x: sample_moments([["a"]] * 200), "x must be an array of numbers"),
+    (lambda x: hac_psi([["a"]] * 200), "x must be an array of numbers"),
+], ids=["bandwidth_float", "bandwidth_str", "max_lag_float", "bandwidth_bool", "max_lag_bool",
+        "sample_moments_non_numeric_x", "hac_psi_non_numeric_x"])
 def test_non_integer_counts_are_refused(rng, call, message):
     with pytest.raises(InvalidInput, match=message):
         call(rng.normal(size=(200, 1)))

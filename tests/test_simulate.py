@@ -203,13 +203,13 @@ def test_long_run_mean(ref_spec_d2):
 
 
 def test_input_validation(ref_spec_d1):
-    with pytest.raises(InvalidInput, match="n must be positive"):
+    with pytest.raises(InvalidInput, match="n must be an integer >= 1, got 0"):
         simulate(ref_spec_d1, 0, seed=1)
     with pytest.raises(InvalidInput):
         simulate(ref_spec_d1, 10, seed=1, burn_in=-1)
-    with pytest.raises(InvalidInput, match="seed must be >= 0, got -1"):
+    with pytest.raises(InvalidInput, match="seed must be an integer >= 0, got -1"):
         simulate(ref_spec_d1, 10, seed=-1)
-    with pytest.raises(InvalidInput, match="seed must be >= 0, got -3"):
+    with pytest.raises(InvalidInput, match="seed must be an integer >= 0, got -3"):
         _simulate_paths(ref_spec_d1, 10, [4, -3, 5], burn_in=10)
     bad = vg.GarchSpec(d=1, c=[0.1], A=[[0.6]], B=[[0.6]])
     with pytest.raises(NonStationary):
@@ -217,12 +217,12 @@ def test_input_validation(ref_spec_d1):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(n=2.5, seed=1), "n must be an integer, got 2.5"),
-    (dict(n=10, seed=1, burn_in=2.5), "burn_in must be an integer, got 2.5"),
-    (dict(n=10, seed=1.5), "seed must be an integer, got 1.5"),
-    (dict(n=True, seed=0), "n must be an integer, got True"),
-    (dict(n=10, seed=1, burn_in=False), "burn_in must be an integer, got False"),
-    (dict(n=10, seed=True), "seed must be an integer, got True"),
+    (dict(n=2.5, seed=1), "n must be an integer >= 1, got 2.5"),
+    (dict(n=10, seed=1, burn_in=2.5), "burn_in must be an integer >= 0, got 2.5"),
+    (dict(n=10, seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    (dict(n=True, seed=0), "n must be an integer >= 1, got True"),
+    (dict(n=10, seed=1, burn_in=False), "burn_in must be an integer >= 0, got False"),
+    (dict(n=10, seed=True), "seed must be an integer >= 0, got True"),
 ], ids=["n", "burn_in", "seed", "n_bool", "burn_in_bool", "seed_bool"])
 def test_non_integer_counts_are_refused(ref_spec_d1, kwargs, message):
     with pytest.raises(InvalidInput, match=message):
