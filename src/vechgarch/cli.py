@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input problems, 2 simulation positivity
 failures, 3 singular or otherwise failed linear algebra, 4 eigenvalues on
-the unit circle (no stable solvent).
+the unit circle (no stable solvent).  ``_EXIT_CODES`` maps each error type
+to its code; every error is printed as ``error: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .exceptions import (
     InvalidInput,
     MissingSigmaW,
     NonStationary,
-    NotPositiveDefinite,
     PositivityViolation,
     UnimodularEigenvalues,
     VechGarchError,
@@ -32,7 +32,18 @@ from .solver import estimate
 
 __all__ = ["main", "run"]
 
-_USAGE_ERRORS = (InvalidInput, InsufficientData, MissingSigmaW, NonStationary)
+# Exit code of each error type main() reports, found by the nearest class in
+# the error's MRO; any other VechGarchError is a failure inside the solve.
+_EXIT_CODES = {
+    PositivityViolation: 2,
+    UnimodularEigenvalues: 4,
+    InvalidInput: 1,
+    InsufficientData: 1,
+    MissingSigmaW: 1,
+    NonStationary: 1,
+    OSError: 1,
+    VechGarchError: 3,
+}
 
 
 def _load_json(path, what):
@@ -86,41 +97,11 @@ def cmd_aggregate(args):
     sigma_w = None
     if args.sigma_w is not None:
         sigma_w = _load_json(args.sigma_w, "sigma_w")
-    try:
-        inp = AggregationInput(spec=spec, sigma=sigma, m=args.m, kind=args.kind,
-                               sigma_w=sigma_w)
-    except NotPositiveDefinite as exc:
-        # A refused input, not a failed solve: exit 1 like every other refusal.
-        raise InvalidInput(str(exc)) from exc
-    agg = aggregate_params(inp)
+    agg = aggregate_params(AggregationInput(spec=spec, sigma=sigma, m=args.m,
+                                            kind=args.kind, sigma_w=sigma_w))
     _print_warnings(agg.report.diagnostics)
     _dump_json(agg.to_json(), args.out)
     return 0
-
-
-def _true_lambda(spec):
-    return np.concatenate([
-        spec.c,
-        spec.A.reshape(-1, order="F"),
-        spec.B.reshape(-1, order="F"),
-    ])
-
-
-def _block_errors(est_spec, true_spec):
-    err_c = float(np.abs(est_spec.c - true_spec.c).max())
-    err_a = float(np.abs(est_spec.A - true_spec.A).max())
-    err_b = float(np.abs(est_spec.B - true_spec.B).max())
-    return err_c, err_a, err_b, max(err_c, err_a, err_b)
-
-
-def _block_coverage(est_spec, true_spec, se):
-    k = true_spec.dbar
-    diff = np.abs(_true_lambda(est_spec) - _true_lambda(true_spec))
-    inside = diff <= 1.96 * se
-    c_part = inside[:k]
-    a_part = inside[k : k + k * k]
-    b_part = inside[k + k * k :]
-    return (float(c_part.mean()), float(a_part.mean()), float(b_part.mean()))
 
 
 # Replications simulated together in one stacked recursion.  At d = 2 the
@@ -170,13 +151,21 @@ def cmd_montecarlo(args):
 def _fit_row(row, spec, y, args):
     x = to_x(y)
     report = estimate(x, lags=args.lags)
-    err_c, err_a, err_b, err_max = _block_errors(report.spec, spec)
-    row.update(err_max=f"{err_max:.10g}", err_c=f"{err_c:.10g}",
-               err_a=f"{err_a:.10g}", err_b=f"{err_b:.10g}")
+    # Absolute errors of the (c, A, B) blocks; the row keeps them even if the
+    # standard errors are refused.
+    errors = {name.lower(): np.abs(getattr(report.spec, name) - getattr(spec, name))
+              for name in "cAB"}
+    row["err_max"] = f"{max(float(e.max()) for e in errors.values()):.10g}"
+    for key, err in errors.items():
+        row[f"err_{key}"] = f"{float(err.max()):.10g}"
     if args.with_se:
-        se_rep = asymptotics.standard_errors(report, x, bandwidth=args.bandwidth)
-        cc, ca, cb = _block_coverage(report.spec, spec, se_rep.std_errors)
-        row.update(cover_c=f"{cc:.6g}", cover_a=f"{ca:.6g}", cover_b=f"{cb:.6g}")
+        se = asymptotics.standard_errors(report, x, bandwidth=args.bandwidth).std_errors
+        k = spec.dbar
+        # se stacks c, vec(A) and vec(B), the vecs column-major.
+        se_blocks = (se[:k], se[k : k + k * k].reshape(k, k, order="F"),
+                     se[k + k * k :].reshape(k, k, order="F"))
+        for (key, err), block in zip(errors.items(), se_blocks):
+            row[f"cover_{key}"] = f"{float((err <= 1.96 * block).mean()):.6g}"
 
 
 def _write_montecarlo(rows, ns, args):
@@ -297,21 +286,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except PositivityViolation as exc:
-        print(f"error: {exc} (step {exc.step})", file=sys.stderr)
-        return 2
-    except UnimodularEigenvalues as exc:
+    except (VechGarchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except VechGarchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES)
 
 
 def run():

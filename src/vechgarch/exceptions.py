@@ -4,21 +4,19 @@
 class VechGarchError(Exception):
     """Base class for all errors raised by this package.
 
-    Parameters
+    Attributes
     ----------
-    message : str
-        Human-readable description of the failure.
-    stage : str, optional
-        Pipeline stage that failed; attached by drivers such as
-        :func:`vechgarch.solver.estimate` when they re-raise errors from
-        sub-operations.
+    stage : str or None
+        Estimator stage that failed (``moments``, ``gammas``, ``solve_b``,
+        ``sigma``), set on the error as it leaves that stage; ``None`` until
+        then.  ``str`` puts it in front of the message as ``[stage] ``.
     """
 
-    def __init__(self, message, stage=None):
-        if stage is not None:
-            message = f"[{stage}] {message}"
-        super().__init__(message)
-        self.stage = stage
+    stage = None
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.stage is None else f"[{self.stage}] {message}"
 
 
 class InvalidInput(VechGarchError):

@@ -67,6 +67,10 @@ def _as_array(value, name, shape=None, ndim=None, finite=True):
 
     The one check of every array a public function takes from its caller.
     """
+    # A complex array would convert with only a warning, dropping its
+    # imaginary part; a list of Python complex numbers fails to convert.
+    if hasattr(value, "dtype") and value.dtype.kind == "c":
+        raise InvalidInput(f"{name} must be an array of real numbers, got dtype {value.dtype}")
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

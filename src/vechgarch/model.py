@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .exceptions import InvalidInput, NonStationary, VechGarchError
+from .exceptions import InvalidInput, NonStationary, NotPositiveDefinite, VechGarchError
 
 __all__ = [
     "GarchSpec",
@@ -34,13 +34,13 @@ __all__ = [
 
 
 def _as_covariance(value, k, name):
-    """``value`` as a finite ``k x k`` symmetric positive definite matrix.
-
-    Raises ``InvalidInput`` (shape, entries, symmetry) or
-    ``NotPositiveDefinite``, naming the input.
-    """
+    """``value`` as a finite ``k x k`` symmetric positive definite matrix;
+    refused with ``InvalidInput`` naming it."""
     s = linalg._as_array(value, name, (k, k))
-    linalg.cholesky(s, name)
+    try:
+        linalg.cholesky(s, name)
+    except NotPositiveDefinite as exc:
+        raise InvalidInput(str(exc)) from exc
     return s
 
 

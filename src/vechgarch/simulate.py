@@ -94,8 +94,9 @@ def simulate(spec, n, seed, burn_in=1000):
         else:
             what = "conditional covariance is not positive definite"
         raise PositivityViolation(f"{what} at step {step}", step=step)
-    return SimulationResult(y=y[burn_in:, 0], h_path=h_path[burn_in:, 0], seed=seed,
-                            burn_in=burn_in)
+    # _simulate_paths accepted both as counts; store them as plain int.
+    return SimulationResult(y=y[burn_in:, 0], h_path=h_path[burn_in:, 0], seed=int(seed),
+                            burn_in=int(burn_in))
 
 
 def _simulate_paths(spec, n, seeds, burn_in):

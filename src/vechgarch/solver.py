@@ -334,12 +334,12 @@ def recover_sigma(b, gs):
                          nme_residual=residual, warnings=notes)
 
 
-def _run_stage(name, fn, *args, **kwargs):
+def _run_stage(name, fn, *args):
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except VechGarchError as exc:
-        if exc.stage is None and type(exc).__init__ is VechGarchError.__init__:
-            raise type(exc)(str(exc), stage=name) from exc
+        if exc.stage is None:
+            exc.stage = name
         raise
 
 

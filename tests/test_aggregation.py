@@ -14,7 +14,6 @@ from vechgarch.aggregation import (
 from vechgarch.exceptions import (
     InvalidInput,
     MissingSigmaW,
-    NotPositiveDefinite,
 )
 
 SCALAR = vg.GarchSpec(d=1, c=[0.1], A=[[0.1]], B=[[0.8]])
@@ -205,7 +204,7 @@ def test_aggregate_params_checks_sigma(ref_spec_d2):
     with pytest.raises(InvalidInput):
         aggregate_params(AggregationInput(spec=ref_spec_d2, sigma=bad, m=2,
                                           kind="stock"))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(InvalidInput, match="^sigma is not positive definite"):
         aggregate_params(AggregationInput(spec=ref_spec_d2, sigma=-np.eye(3),
                                           m=2, kind="stock"))
 
@@ -235,7 +234,7 @@ def test_gamma_functions_refuse_what_aggregate_params_refuses(ref_spec_d2):
     asymmetric = np.eye(3)
     asymmetric[0, 1] = 0.5
     for gammas, kwargs in ((stock_gammas, {}), (flow_gammas, {"sigma_w": np.zeros((3, 3))})):
-        with pytest.raises(NotPositiveDefinite, match="^sigma is not positive definite"):
+        with pytest.raises(InvalidInput, match="^sigma is not positive definite"):
             gammas(ref_spec_d2, -np.eye(3), 2, **kwargs)
         with pytest.raises(InvalidInput, match="^sigma is not symmetric"):
             gammas(ref_spec_d2, asymmetric, 2, **kwargs)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,16 @@ def spec_file(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_module(*argv, flags=()):
+    """``python <flags> -m vechgarch <argv>`` in a fresh interpreter that
+    imports the package under test, installed or not."""
+    src = str(Path(vg.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *flags, "-m", "vechgarch", *map(str, argv)],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_simulate_writes_csv_and_echoes_spec(tmp_path, spec_file, capsys):
@@ -67,7 +78,7 @@ def test_simulate_positivity_failure_is_exit_2(tmp_path, capsys):
     code = run_cli("simulate", "--params", spec, "--out", tmp_path / "y.csv",
                    "--n", 10)
     assert code == 2
-    assert "step" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: conditional variance -1 is not positive at step 0\n"
 
 
 def test_estimate_round_trip(tmp_path, spec_file, capsys):
@@ -202,10 +213,7 @@ def test_estimate_header_only_csv_is_exit_1_with_one_error_line(tmp_path):
     # a user.
     data = tmp_path / "empty.csv"
     data.write_text("y1,y2\n")
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "vechgarch", "estimate", "--data", str(data)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_module("estimate", "--data", data, flags=("-W", "default"))
     assert proc.returncode == 1
     assert proc.stderr == "error: CSV contains no data rows\n"
     assert proc.stdout == ""
@@ -504,11 +512,7 @@ def test_module_entry_point(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SCALAR_SPEC))
     out = tmp_path / "y.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "vechgarch", "simulate", "--params", str(spec),
-         "--out", str(out), "--n", "50", "--seed", "3"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_module("simulate", "--params", spec, "--out", out, "--n", 50, "--seed", 3)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert json.loads(proc.stdout)["d"] == 1

@@ -245,6 +245,8 @@ def _scalar_jacobian():
     (lambda: linalg.dlyap(NON_NUMERIC, [[1.0]]), "B must be an array of numbers"),
     (lambda: linalg.dlyap([[0.5]], NON_NUMERIC), "Q must be an array of numbers"),
     (lambda: vg.to_x(NON_NUMERIC), "y must be an array of numbers"),
+    (lambda: vg.GarchSpec(d=1, c=np.array([0.1 + 1j]), A=[[0.1]], B=[[0.8]]),
+     "c must be an array of real numbers, got dtype complex128"),
     (lambda: vg.GammaState(phi=NON_NUMERIC, gamma0=[[1.0]], gamma1=[[0.1]]),
      "phi must be an array of numbers"),
     (lambda: vg.aggregate_data(NON_NUMERIC, 1), "y must be an array of numbers"),
@@ -258,7 +260,7 @@ def _scalar_jacobian():
      "n must be an integer >= 1, got True"),
     (lambda: vg.xi(_scalar_jacobian(), vg.PsiEstimate(psi=np.eye(4), bandwidth=0), 2.5),
      "n must be an integer >= 1, got 2.5"),
-], ids=["vech", "unvech", "dlyap_b", "dlyap_q", "to_x", "gamma_state", "aggregate_data",
+], ids=["vech", "unvech", "dlyap_b", "dlyap_q", "to_x", "complex_spec", "gamma_state", "aggregate_data",
         "aggregate_data_nan", "aggregate_data_m_bool", "aggregation_input_m_bool",
         "estimate_lags_bool", "standard_errors", "xi_n_bool", "xi_n_float"])
 def test_malformed_inputs_are_refused(call, message):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import vechgarch as vg
 from vechgarch import linalg
-from vechgarch.exceptions import InvalidInput, NonStationary, NotPositiveDefinite
+from vechgarch.exceptions import InvalidInput, NonStationary
 
 SCALAR = vg.GarchSpec(d=1, c=np.array([0.1]), A=np.array([[0.1]]), B=np.array([[0.8]]))
 
@@ -116,7 +116,7 @@ def test_population_moments_lag_identities(rng):
 
 
 def test_population_moments_rejects_bad_sigma(ref_spec_d2):
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(InvalidInput, match="^sigma is not positive definite"):
         vg.population_moments(ref_spec_d2, -np.eye(3))
     with pytest.raises(InvalidInput):
         vg.population_moments(ref_spec_d2, np.eye(2))

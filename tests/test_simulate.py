@@ -229,6 +229,13 @@ def test_non_integer_counts_are_refused(ref_spec_d1, kwargs, message):
         simulate(ref_spec_d1, **kwargs)
 
 
+def test_numpy_integer_seed_and_burn_in_are_stored_as_int(ref_spec_d1):
+    result = simulate(ref_spec_d1, 5, np.int64(3), burn_in=np.int64(2))
+    assert type(result.seed) is int and result.seed == 3
+    assert type(result.burn_in) is int and result.burn_in == 2
+    assert np.array_equal(result.y, simulate(ref_spec_d1, 5, 3, burn_in=2).y)
+
+
 def test_positivity_violation_carries_step():
     # Negative intercept with no feedback: h goes negative immediately.
     spec = vg.GarchSpec(d=1, c=[-1.0], A=[[0.0]], B=[[0.0]])

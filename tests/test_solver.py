@@ -10,6 +10,7 @@ from vechgarch import linalg, solver
 from vechgarch.exceptions import (
     InsufficientData,
     InvalidInput,
+    PositivityViolation,
     SingularMatrix,
     UnimodularEigenvalues,
 )
@@ -336,7 +337,7 @@ def test_estimate_accepts_moment_set_and_raw_data(ref_spec_d1):
     assert_allclose(direct.spec.B, via_ms.spec.B, atol=1e-14)
 
 
-def test_estimate_stage_labels():
+def test_estimate_stage_labels(monkeypatch):
     with pytest.raises(InsufficientData) as info:
         estimate(np.ones((3, 1)))
     assert info.value.stage == "moments"
@@ -346,6 +347,21 @@ def test_estimate_stage_labels():
     with pytest.raises(UnimodularEigenvalues) as info:
         estimate(bad)
     assert info.value.stage == "solve_b"
+
+    # An error type with its own __init__ gets its stage too, and the caller
+    # sees the very object the stage raised.
+    raised = PositivityViolation("x", step=3)
+
+    def fail(gs):
+        raise raised
+
+    monkeypatch.setattr(solver, "solve_b", fail)
+    with pytest.raises(PositivityViolation) as info:
+        estimate(vg.population_moments(vg.GarchSpec(d=1, c=[0.1], A=[[0.1]], B=[[0.8]]),
+                                       [[1.0]]))
+    assert info.value is raised
+    assert (info.value.stage, info.value.step) == ("solve_b", 3)
+    assert str(info.value).startswith("[solve_b] ")
 
 
 def test_estimate_rejects_bad_arguments(ref_spec_d1):
