@@ -6,26 +6,17 @@ three autocovariances.  This package computes those functions directly:
 no likelihood, no optimiser, one cyclic-reduction solve.  It also
 provides delta-method standard errors and exact temporal aggregation of
 parameter sets.
+
+The top level exports that chain and nothing else: moments, the
+estimate, its standard errors, aggregation, and the typed errors.  Each
+stage's helpers (``solve_b``, ``dlyap``, ``stock_gammas``, ...) are
+imported from their own module, e.g. ``from vechgarch.solver import
+solve_b``.
 """
 
-from . import aggregation, asymptotics, cli, exceptions, linalg, model, moments, simulate, solver
-from .aggregation import (
-    AggregatedSpec,
-    AggregationInput,
-    aggregate_data,
-    aggregate_params,
-    flow_gammas,
-    stock_gammas,
-)
-from .asymptotics import (
-    AsymptoticReport,
-    JacobianState,
-    jacobian_action,
-    jacobian_matrix,
-    param_names,
-    standard_errors,
-    xi,
-)
+from . import aggregation, asymptotics, cli, exceptions, linalg, model, moments, solver
+from .aggregation import AggregatedSpec, AggregationInput, aggregate_data, aggregate_params
+from .asymptotics import AsymptoticReport, JacobianState, jacobian_matrix, standard_errors, xi
 from .exceptions import (
     InsufficientData,
     InvalidInput,
@@ -39,7 +30,7 @@ from .exceptions import (
     UnimodularEigenvalues,
     VechGarchError,
 )
-from .linalg import dlyap, unvech, vech
+from .linalg import unvech, vech
 from .model import (
     Diagnostics,
     GarchSpec,
@@ -50,26 +41,8 @@ from .model import (
     random_spec,
     uncond_h,
 )
-from .moments import (
-    PsiEstimate,
-    default_bandwidth,
-    hac_psi,
-    sample_moments,
-)
+from .moments import PsiEstimate, hac_psi, sample_moments
 from .simulate import SimulationResult, simulate, to_x
-from .solver import (
-    EstimateReport,
-    GammaState,
-    SigmaRecovery,
-    SolventResult,
-    build_p,
-    estimate,
-    gammas,
-    phi_lstsq,
-    pme_residual,
-    nme_residual,
-    recover_sigma,
-    solve_b,
-)
+from .solver import EstimateReport, estimate
 
 __version__ = "0.1.0"

@@ -67,12 +67,13 @@ def _as_array(value, name, shape=None, ndim=None, finite=True):
 
     The one check of every array a public function takes from its caller.
     """
-    # A complex array would convert with only a warning, dropping its
-    # imaginary part; a list of Python complex numbers fails to convert.
-    if hasattr(value, "dtype") and value.dtype.kind == "c":
-        raise InvalidInput(f"{name} must be an array of real numbers, got dtype {value.dtype}")
+    # Convert once and look at the dtype: a complex array, or a list that
+    # holds a complex scalar, would otherwise lose its imaginary part.
     try:
-        a = np.asarray(value, dtype=float)
+        a = np.asarray(value)
+        if a.dtype.kind == "c":
+            raise InvalidInput(f"{name} must be an array of real numbers, got dtype {a.dtype}")
+        a = a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{name} must be an array of numbers: {exc}") from exc
     if shape is not None and a.shape != shape:

@@ -42,6 +42,7 @@ from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .exceptions import InvalidInput, PositivityViolation
+from .model import uncond_h
 
 __all__ = ["SimulationResult", "simulate", "to_x", "write_returns_csv", "read_returns_csv"]
 
@@ -114,7 +115,6 @@ def _simulate_paths(spec, n, seeds, burn_in):
     n = linalg._as_count(n, "n", least=1)
     burn_in = linalg._as_count(burn_in, "burn_in")
     seeds = [linalg._as_count(seed, "seed") for seed in seeds]
-    from .model import uncond_h  # local import to avoid a cycle at import time
 
     h0 = uncond_h(spec)
     total = burn_in + n

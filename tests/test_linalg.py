@@ -10,6 +10,7 @@ from vechgarch.exceptions import (
     SingularLyapunov,
     SingularMatrix,
 )
+from vechgarch.solver import GammaState
 
 
 class TestVech:
@@ -247,7 +248,11 @@ def _scalar_jacobian():
     (lambda: vg.to_x(NON_NUMERIC), "y must be an array of numbers"),
     (lambda: vg.GarchSpec(d=1, c=np.array([0.1 + 1j]), A=[[0.1]], B=[[0.8]]),
      "c must be an array of real numbers, got dtype complex128"),
-    (lambda: vg.GammaState(phi=NON_NUMERIC, gamma0=[[1.0]], gamma1=[[0.1]]),
+    (lambda: vg.GarchSpec(d=1, c=[np.complex128(0.1 + 1j)], A=[[0.1]], B=[[0.8]]),
+     "c must be an array of real numbers, got dtype complex128"),
+    (lambda: vg.population_moments(SCALAR, [[np.complex128(1 + 1j)]]),
+     "sigma must be an array of real numbers, got dtype complex128"),
+    (lambda: GammaState(phi=NON_NUMERIC, gamma0=[[1.0]], gamma1=[[0.1]]),
      "phi must be an array of numbers"),
     (lambda: vg.aggregate_data(NON_NUMERIC, 1), "y must be an array of numbers"),
     (lambda: vg.aggregate_data([[0.1], [np.nan]], 1), "y contains non-finite entries"),
@@ -260,7 +265,8 @@ def _scalar_jacobian():
      "n must be an integer >= 1, got True"),
     (lambda: vg.xi(_scalar_jacobian(), vg.PsiEstimate(psi=np.eye(4), bandwidth=0), 2.5),
      "n must be an integer >= 1, got 2.5"),
-], ids=["vech", "unvech", "dlyap_b", "dlyap_q", "to_x", "complex_spec", "gamma_state", "aggregate_data",
+], ids=["vech", "unvech", "dlyap_b", "dlyap_q", "to_x", "complex_spec", "complex_scalar_list_spec",
+        "complex_sigma", "gamma_state", "aggregate_data",
         "aggregate_data_nan", "aggregate_data_m_bool", "aggregation_input_m_bool",
         "estimate_lags_bool", "standard_errors", "xi_n_bool", "xi_n_float"])
 def test_malformed_inputs_are_refused(call, message):
