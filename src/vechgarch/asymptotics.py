@@ -6,7 +6,9 @@ The estimator is a smooth map from the moment vector
 closed form, chains it with a long-run covariance ``Psi`` of the sample
 moments, and reports ``Xi = J Psi J'`` together with the implied standard
 errors ``sqrt(diag(Xi) / n)``.  ``vec`` stacks columns throughout, and the
-parameter order within ``lambda`` follows the same convention.
+parameter order within ``lambda`` follows the same convention.  The
+derivative is taken at the lag-1 fit itself, a :class:`JacobianState` view
+of its report, and ``Psi`` from the sample that fit was made on.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import linalg
 from .exceptions import InvalidInput
 from .model import MomentSet
 from .moments import PsiEstimate, hac_psi
-from .solver import estimate
+from .solver import EstimateReport, estimate
 
 __all__ = [
     "JacobianState",
@@ -34,48 +36,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobianState:
-    """Everything the derivative formulas evaluate at: the moment set plus
-    the estimator outputs computed from it."""
+    """The fit the derivative formulas evaluate at, a view of its report.
 
-    mean: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-    phi: np.ndarray
-    b: np.ndarray
-    sigma: np.ndarray
+    The one place that refuses a fit the delta method cannot differentiate:
+    no :class:`~vechgarch.solver.EstimateReport`, no moments (aggregation),
+    or a ``Phi`` that pools lags instead of the lag-1 ``m2 m1^{-1}``.
+    """
+
+    report: EstimateReport
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", linalg._as_array(self.mean, "mean", ndim=1))
-        for name in ("m0", "m1", "phi", "b", "sigma"):
-            object.__setattr__(self, name, linalg._as_array(getattr(self, name), name,
-                                                            2 * self.mean.shape))
+        if not isinstance(self.report, EstimateReport):
+            raise InvalidInput("report must be an EstimateReport, got "
+                               f"{type(self.report).__name__}")
+        if self.report.moments is None:
+            raise InvalidInput("no standard errors for a report without moments "
+                               "(an aggregation report)")
+        if self.report.lags != 1:
+            raise InvalidInput(
+                "no standard errors: the delta method differentiates the lag-1 "
+                f"Phi = m2 m1^-1, but this fit's Phi pools {self.report.lags} lag identities")
 
     @property
     def dbar(self):
-        return self.mean.shape[0]
+        return self.report.spec.dbar
 
     @classmethod
     def from_moments(cls, ms):
-        """Run the lag-1 estimator once and capture its state."""
+        """``JacobianState(estimate(ms))``: run the lag-1 estimator once."""
         if not isinstance(ms, MomentSet):
             raise InvalidInput("ms must be a MomentSet")
-        return cls._from_report(estimate(ms))
-
-    @classmethod
-    def _from_report(cls, report):
-        """The state a report was solved at, if its ``Phi`` is the lag-1 map
-        ``m2 m1^{-1}`` that :func:`jacobian_action` differentiates."""
-        ms = report.moments
-        if ms is None:
-            raise InvalidInput("no standard errors for a report without moments "
-                               "(an aggregation report)")
-        if report.lags != 1:
-            raise InvalidInput(
-                "no standard errors: the delta method differentiates the lag-1 "
-                f"Phi = m2 m1^-1, but this fit's Phi pools {report.lags} lag identities"
-            )
-        return cls(mean=ms.mean, m0=ms.m0, m1=ms.m1, phi=report.gamma_state.phi,
-                   b=report.spec.B, sigma=report.sigma)
+        return cls(estimate(ms))
 
 
 @dataclass(frozen=True)
@@ -135,8 +126,8 @@ def jacobian_action(js, dmean, dm0, dm1, dm2):
         raise InvalidInput(f"dmean must have shape (..., {k}), got {dmean.shape}")
     dm0, dm1, dm2 = (linalg._as_array(m, name, lead + (k, k))
                      for name, m in (("dm0", dm0), ("dm1", dm1), ("dm2", dm2)))
-    phi, m0, m1 = js.phi, js.m0, js.m1
-    b, sigma = js.b, js.sigma
+    report, ms = js.report, js.report.moments
+    phi, m0, m1, b, sigma = report.gamma_state.phi, ms.m0, ms.m1, report.spec.B, report.sigma
     dphi = linalg.rsolve(dm2 - phi @ dm1, m1, name="m1")
     dgamma1 = dm1 - dphi @ m0 - phi @ dm0
     # gamma0 = m0 - m1 Phi' - Phi m1' + Phi m0 Phi': under sym, each cross
@@ -147,7 +138,7 @@ def jacobian_action(js, dmean, dm0, dm1, dm2):
     dsigma = linalg.dlyap(b, rhs)
     db = -linalg.rsolve(dgamma1 + b @ dsigma, sigma, name="sigma")
     da = dphi - db
-    dc = -dphi @ js.mean + dmean @ (np.eye(k) - phi).T
+    dc = -dphi @ ms.mean + dmean @ (np.eye(k) - phi).T
     return dc, da, db
 
 
@@ -219,10 +210,18 @@ def _names_from_rows(n_rows):
 def standard_errors(report, x, bandwidth=None):
     """Delta method for ``report = estimate(x)``, on a raw ``x_t`` sample.
 
-    The Jacobian is taken at the report's stored state (no refit); ``x``
-    gives the long-run covariance through :func:`~vechgarch.moments.hac_psi`.
-    Raises ``InvalidInput`` for a report without moments, or whose ``Phi``
-    pools lags.
+    The Jacobian is taken at ``JacobianState(report)`` (no refit); ``x``
+    gives the long-run covariance through :func:`~vechgarch.moments.hac_psi`
+    and must be the report's sample, as an array or list in any memory
+    order: ``InvalidInput`` if its width is not ``dbar`` or a column mean
+    differs from ``report.moments.mean`` by more than ``1e-12 (1 + |mean|)``.
+    A different sample with equal means (the series reversed) passes unseen.
     """
-    js = JacobianState._from_report(report)
-    return xi(jacobian_matrix(js), hac_psi(x, bandwidth=bandwidth), len(x))
+    js = JacobianState(report)
+    a = linalg._as_array(x, "x", ndim=2)
+    mean = report.moments.mean
+    if a.shape[1] != mean.shape[0]:
+        raise InvalidInput(f"x has {a.shape[1]} columns, the report's sample {mean.shape[0]}")
+    if (np.abs(a.mean(axis=0) - mean) > 1e-12 * (1.0 + np.abs(mean))).any():
+        raise InvalidInput("x is not the report's sample: its column means differ")
+    return xi(jacobian_matrix(js), hac_psi(a, bandwidth=bandwidth), a.shape[0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -240,6 +242,48 @@ def test_standard_errors_refuse_aggregation_report(ref_spec_d1):
     agg = vg.aggregate_params(vg.AggregationInput(ref_spec_d1, np.eye(1), 2, "stock"))
     with pytest.raises(InvalidInput, match="aggregation report"):
         standard_errors(agg.report, np.ones((100, 1)))
+
+
+def test_jacobian_state_refuses_what_it_cannot_differentiate(ref_spec_d1):
+    x = to_x(simulate(ref_spec_d1, 8_000, seed=83).y)
+    agg = vg.aggregate_params(vg.AggregationInput(ref_spec_d1, np.eye(1), 2, "stock"))
+    for value, message in [(sample_moments(x), "report must be an EstimateReport, got MomentSet"),
+                           (agg.report, "aggregation report"),
+                           (estimate(x, lags=3), "pools 3 lag identities")]:
+        with pytest.raises(InvalidInput, match=message):
+            JacobianState(value)
+
+
+def test_jacobian_state_is_a_view_of_the_report(ref_spec_d2):
+    x = to_x(simulate(ref_spec_d2, 8_000, seed=89).y)
+    report = estimate(x)
+    js = JacobianState(report)
+    assert [f.name for f in dataclasses.fields(JacobianState)] == ["report"]
+    assert js.report is report and js.dbar == 3
+    assert np.array_equal(jacobian_matrix(js),
+                          jacobian_matrix(JacobianState.from_moments(report.moments)))
+    # A hand-built report with a bad Sigma is refused before any HAC work.
+    bad = dataclasses.replace(report, sigma=np.full((3, 3), np.nan))
+    with pytest.raises(InvalidInput, match="^sigma contains non-finite entries"):
+        standard_errors(bad, x)
+
+
+def test_standard_errors_take_only_the_reports_sample(ref_spec_d2):
+    x1 = to_x(simulate(ref_spec_d2, 20_000, seed=1).y)
+    x2 = to_x(simulate(ref_spec_d2, 5_000, seed=2).y)
+    report = estimate(x1)
+    with pytest.raises(InvalidInput, match="x is not the report's sample"):
+        standard_errors(report, x2)
+    with pytest.raises(InvalidInput, match="x has 2 columns, the report's sample 3"):
+        standard_errors(report, x1[:, :2])
+    # The same sample as a list or a Fortran-order copy passes, and its Xi is
+    # bit for bit that of the unchecked chain on the same value.  (A list is
+    # C order and x1 Fortran order, so hac_psi sums their means in another
+    # order and the two Xi differ in the last digits, as at the parent.)
+    js = JacobianState(report)
+    for same in (x1.tolist(), np.asfortranarray(x1.tolist())):
+        direct = xi(jacobian_matrix(js), hac_psi(same), x1.shape[0])
+        assert np.array_equal(standard_errors(report, same).xi, direct.xi)
 
 
 def test_jacobian_norm_grows_with_persistence():
