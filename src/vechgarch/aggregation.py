@@ -93,11 +93,12 @@ def _ladder(spec, m, kind):
     periods, so the flow ladder ``J_0..J_{2m-1}`` is the moving sum
     ``J_i^flow = sum_{i-m < l <= i} J_l^stock``.
     """
-    powers = linalg.power_sequence(spec.phi, m - 1)
-    stock = [np.eye(spec.dbar)]
-    for i in range(1, m):
-        stock.append(powers[i - 1] @ spec.A)
-    stock.append(-powers[m - 1] @ spec.B)
+    phi, power = spec.phi, np.eye(spec.dbar)
+    stock = [power]
+    for _ in range(1, m):
+        stock.append(power @ spec.A)
+        power = power @ phi
+    stock.append(-power @ spec.B)
     if kind == "stock":
         return stock
     # Highest lag first, so that the largest term, J_0 = I, is added last.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import linalg
 from .exceptions import InvalidInput
 from .model import MomentSet
-from .moments import PsiEstimate, hac_psi
+from .moments import PsiEstimate, _rows, hac_psi
 from .solver import EstimateReport, estimate
 
 __all__ = [
@@ -213,15 +213,15 @@ def standard_errors(report, x, bandwidth=None):
     The Jacobian is taken at ``JacobianState(report)`` (no refit); ``x``
     gives the long-run covariance through :func:`~vechgarch.moments.hac_psi`
     and must be the report's sample, as an array or list in any memory
-    order: ``InvalidInput`` if its width is not ``dbar`` or a column mean
-    differs from ``report.moments.mean`` by more than ``1e-12 (1 + |mean|)``.
-    A different sample with equal means (the series reversed) passes unseen.
+    order: ``InvalidInput`` if its width is not ``dbar`` or its column means
+    are not exactly ``report.moments.mean``.  A different sample with equal
+    means (the series reversed) passes unseen.
     """
     js = JacobianState(report)
     a = linalg._as_array(x, "x", ndim=2)
     mean = report.moments.mean
     if a.shape[1] != mean.shape[0]:
         raise InvalidInput(f"x has {a.shape[1]} columns, the report's sample {mean.shape[0]}")
-    if (np.abs(a.mean(axis=0) - mean) > 1e-12 * (1.0 + np.abs(mean))).any():
+    if not np.array_equal(_rows(a)[1], mean):
         raise InvalidInput("x is not the report's sample: its column means differ")
     return xi(jacobian_matrix(js), hac_psi(a, bandwidth=bandwidth), a.shape[0])

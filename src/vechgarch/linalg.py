@@ -41,9 +41,7 @@ __all__ = [
     "cholesky",
     "solve",
     "rsolve",
-    "lstsq",
     "spectral_radius",
-    "power_sequence",
 ]
 
 
@@ -291,33 +289,3 @@ def rsolve(b, a, name="matrix"):
     _check_invertible(am, name)
     rows = bm.reshape(-1, am.shape[0])
     return np.linalg.solve(am.T, rows.T).T.reshape(bm.shape)
-
-
-def lstsq(a, b):
-    """Minimise ``||X A - B||_F`` over ``X``.
-
-    ``A`` is ``q x r`` and ``B`` is ``p x r``; the solution is ``p x q``.
-    Rank deficiency of ``A`` (non-unique minimiser) raises
-    :class:`~vechgarch.exceptions.SingularMatrix`.
-    """
-    am = _as_array(a, "A", ndim=2)
-    bm = _as_array(b, "B", ndim=2)
-    if am.shape[1] != bm.shape[1]:
-        raise InvalidInput(
-            f"A and B must have the same number of columns, got {am.shape} and {bm.shape}"
-        )
-    xt, _, rank, _ = np.linalg.lstsq(am.T, bm.T, rcond=None)
-    if rank < am.shape[0]:
-        raise SingularMatrix(
-            f"least-squares design has rank {rank} < {am.shape[0]}; minimiser is not unique"
-        )
-    return xt.T
-
-
-def power_sequence(m, k_max):
-    """Return ``[I, M, M^2, ..., M^k_max]``, accumulated incrementally."""
-    a = _as_square(m)
-    powers = [np.eye(a.shape[0])]
-    for _ in range(_as_count(k_max, "k_max")):
-        powers.append(powers[-1] @ a)
-    return powers

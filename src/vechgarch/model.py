@@ -264,8 +264,9 @@ def random_spec(d, rng):
     return GarchSpec(d=d, c=c, A=a, B=b)
 
 
-def random_sigma(dbar, rng, scale=1.0):
-    """Draw a random symmetric positive definite innovation covariance."""
+def random_sigma(dbar, rng):
+    """A random symmetric positive definite innovation covariance,
+    ``W W' / dbar + I / 2`` for standard normal ``W``; multiply it to rescale."""
     dbar = linalg._as_count(dbar, "dbar", least=1)
     w = rng.standard_normal((dbar, dbar))
-    return scale * (w @ w.T / dbar + 0.5 * np.eye(dbar))
+    return w @ w.T / dbar + 0.5 * np.eye(dbar)

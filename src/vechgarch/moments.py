@@ -13,6 +13,10 @@ Bartlett-kernel (Newey-West) HAC, a box filter over ``g_t`` that is built
 and consumed in blocks of columns, so beyond a centred copy of the sample
 its working memory is ``O(p (block + bandwidth))`` floats,
 ``p = dbar + 3 dbar^2``, whatever the sample length.
+
+Both read a sample only through :func:`_rows`, which lays it out as C-order
+rows and takes every mean, and :func:`_lag_product`, which forms every lag
+product, so a sample gives the same bits in any memory layout.
 """
 
 from __future__ import annotations
@@ -50,11 +54,28 @@ class PsiEstimate:
         object.__setattr__(self, "bandwidth", linalg._as_count(self.bandwidth, "bandwidth"))
 
 
+def _rows(a, length=None):
+    """The ``n x dbar`` sample ``a`` as C-order rows ``a'`` and the means of
+    their first ``length`` columns (all by default).
+
+    The rows are a view of the Fortran-order arrays ``to_x`` returns and an
+    equal copy of any other layout, so every layout gives the same means.
+    """
+    rows = np.ascontiguousarray(a.T)
+    return rows, rows[:, :length].mean(axis=1)
+
+
+def _lag_product(zt, lag, length):
+    """``sum_{t < length} z_{t+lag} z_t'`` of the centred rows ``zt``."""
+    return zt[:, lag : lag + length] @ zt[:, :length].T
+
+
 def sample_moments(x, max_lag=2):
     """Mean and autocovariances ``m0 .. m_max_lag`` of an ``n x dbar`` sample.
 
     Lag ``k`` pairs ``(x_{t+k}, x_t)`` are averaged with divisor ``n - k``;
     the mean is the full-sample average and is used to centre every lag.
+    Its bits do not depend on the memory order of ``x``, nor on it being a list.
     The default depth 2 is what the lag-1 estimator reads; a fit pooling
     ``K`` lag identities needs ``max_lag = K + 1``.
 
@@ -70,9 +91,9 @@ def sample_moments(x, max_lag=2):
     n = a.shape[0]
     if n < max_lag + 2:
         raise InsufficientData(f"need at least {max_lag + 2} observations, got {n}")
-    mean = a.mean(axis=0)
-    z = a - mean
-    m0, m1, m2, *higher = (z[k:].T @ z[: n - k] / (n - k) for k in range(max_lag + 1))
+    rows, mean = _rows(a)
+    zt = rows - mean[:, None]
+    m0, m1, m2, *higher = (_lag_product(zt, k, n - k) / (n - k) for k in range(max_lag + 1))
     return MomentSet(mean=mean, m0=m0, m1=m1, m2=m2, higher=higher)
 
 
@@ -138,7 +159,7 @@ def hac_psi(x, bandwidth=None):
     Parameters
     ----------
     x : ndarray
-        The ``n x dbar`` squared-returns sample.
+        The ``n x dbar`` squared-returns sample, in any memory order.
     bandwidth : int, optional
         Number of lags; defaults to ``floor(4 (n/100)^{2/9})``.
 
@@ -157,10 +178,11 @@ def hac_psi(x, bandwidth=None):
             f"{bandwidth}, got {n}"
         )
     n_g, w = n - 2, bandwidth + 1
-    zt = np.subtract(a.T, a.mean(axis=0)[:, None], order="C")
-    # Row means of g: the x rows, then sum_t z_{t,j} z_{t+l,i} at (j, i).
-    mean = np.concatenate([a[:n_g].mean(axis=0)] + [
-        (zt[:, :n_g] @ zt[:, lag : lag + n_g].T).ravel() / n_g for lag in range(3)
+    rows, mean = _rows(a)
+    zt = rows - mean[:, None]
+    # Row means of g; rows.T is in Fortran order, so its rows are no copy.
+    mean = np.concatenate([_rows(rows.T, n_g)[1]] + [
+        linalg.vec(_lag_product(zt, lag, n_g)) / n_g for lag in range(3)
     ])[:, None]
     p = mean.shape[0]
     # Column w + i holds c_{t0+i} of the block at t0, after c_{t0-w} ..

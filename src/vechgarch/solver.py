@@ -173,12 +173,17 @@ def phi_lstsq(covs):
     ``covs`` is ``[m1, m2, ..., m_{K+1}]``; the result minimises
     ``|| Phi [m1 ... mK] - [m2 ... m_{K+1}] ||_F``.
     Reduces to the plain lag-1 solution when ``K = 1`` and ``m1`` is
-    invertible.
+    invertible.  A design of rank below ``dbar`` raises ``SingularMatrix``.
     """
     c = linalg._as_array(covs, "covs", ndim=3)
     if len(c) < 2:
         raise InvalidInput("need at least two autocovariances (m1 and m2)")
-    return linalg.lstsq(np.hstack(c[:-1]), np.hstack(c[1:]))
+    design = np.hstack(c[:-1])
+    phi_t, _, rank, _ = np.linalg.lstsq(design.T, np.hstack(c[1:]).T, rcond=None)
+    if rank < len(design):
+        raise SingularMatrix(f"least-squares design has rank {rank} < {len(design)}; "
+                             "minimiser is not unique")
+    return phi_t.T
 
 
 def build_p(gs):

@@ -115,8 +115,8 @@ def test_stock_aggregate_reproduces_subsampled_autocovariances(ref_spec_d2):
 def test_flow_sigma_w_enters_affinely(ref_spec_d2):
     rng = np.random.Generator(np.random.Philox(201))
     sigma = vg.random_sigma(3, rng)
-    s1 = vg.random_sigma(3, rng, scale=0.3)
-    s2 = vg.random_sigma(3, rng, scale=0.7)
+    s1 = 0.3 * vg.random_sigma(3, rng)
+    s2 = 0.7 * vg.random_sigma(3, rng)
     zero = np.zeros((3, 3))
     m = 4
     g0_zero, g1_zero = flow_gammas(ref_spec_d2, sigma, m, sigma_w=zero)

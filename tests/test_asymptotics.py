@@ -277,13 +277,48 @@ def test_standard_errors_take_only_the_reports_sample(ref_spec_d2):
     with pytest.raises(InvalidInput, match="x has 2 columns, the report's sample 3"):
         standard_errors(report, x1[:, :2])
     # The same sample as a list or a Fortran-order copy passes, and its Xi is
-    # bit for bit that of the unchecked chain on the same value.  (A list is
-    # C order and x1 Fortran order, so hac_psi sums their means in another
-    # order and the two Xi differ in the last digits, as at the parent.)
+    # bit for bit that of the unchecked chain on the same value, and that of
+    # x1 itself.
     js = JacobianState(report)
+    own = standard_errors(report, x1).xi
     for same in (x1.tolist(), np.asfortranarray(x1.tolist())):
         direct = xi(jacobian_matrix(js), hac_psi(same), x1.shape[0])
         assert np.array_equal(standard_errors(report, same).xi, direct.xi)
+        assert np.array_equal(direct.xi, own)
+
+
+def test_standard_errors_refuse_a_moved_mean(ref_spec_d2):
+    # One entry moved by 1e-9 moves its column mean by about 5e-14, which a
+    # rounding tolerance would let through: the means must be the report's
+    # exactly.
+    x = to_x(simulate(ref_spec_d2, 20_000, seed=1).y)
+    report = estimate(x)
+    moved = x.copy()
+    moved[0, 0] += 1e-9
+    with pytest.raises(InvalidInput, match="x is not the report's sample"):
+        standard_errors(report, moved)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_sample_gives_equal_bits_in_every_layout(request, d):
+    # to_x returns Fortran order; a C-order copy, a list and a strided view
+    # of the same values take the same means and lag products.
+    spec = request.getfixturevalue(f"ref_spec_d{d}")
+    x = to_x(simulate(spec, 20_000, seed=7).y)
+    wide = np.empty((2 * x.shape[0], x.shape[1]))
+    wide[::2] = x
+    layouts = {"C": np.ascontiguousarray(x), "list": x.tolist(), "strided": wide[::2]}
+
+    def results(sample):
+        ms = sample_moments(sample, 4)
+        report = estimate(sample)
+        return [ms.mean, *ms.covs, hac_psi(sample).psi, report.spec.B, report.sigma,
+                standard_errors(report, sample).xi]
+
+    want = results(x)
+    for name, sample in layouts.items():
+        got = results(sample)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
 
 
 def test_jacobian_norm_grows_with_persistence():

@@ -8,8 +8,9 @@ suite by name rather than surprise a user.  The package's top level is the
 estimator chain, and the README lists exactly those names; a stage helper
 is imported from its own module.  Retired knobs stay retired:
 tolerances are private module constants beside the code that reads them,
-and the Bartlett HAC is the one long-run covariance, so no export takes a
-``tol`` or a ``method`` parameter.
+the Bartlett HAC is the one long-run covariance, and a caller rescales a
+``random_sigma`` draw by multiplying it, so no export takes a ``tol``, a
+``method`` or a ``scale`` parameter.
 """
 
 import ast
@@ -24,7 +25,7 @@ import vechgarch
 
 PACKAGE = Path(vechgarch.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
-RETIRED = ("tol", "method")
+RETIRED = ("tol", "method", "scale")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -117,6 +118,8 @@ def _functions(obj):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_export_takes_a_tol_parameter(name):
+    """No exported function or method takes a retired knob: ``tol``,
+    ``method`` or ``scale``."""
     module = importlib.import_module(f"vechgarch.{name}")
     found = [(f.__qualname__, knob) for export in getattr(module, "__all__", [])
              for f in _functions(getattr(module, export))

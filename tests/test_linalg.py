@@ -10,7 +10,7 @@ from vechgarch.exceptions import (
     SingularLyapunov,
     SingularMatrix,
 )
-from vechgarch.solver import GammaState
+from vechgarch.solver import GammaState, phi_lstsq
 
 
 class TestVech:
@@ -175,18 +175,15 @@ def test_solve_rsolve_lstsq(rng):
     y = linalg.rsolve(c, a)
     assert_allclose(y @ a, c, atol=1e-10)
 
-    # Square invertible design: least squares and exact right division agree.
-    z = linalg.lstsq(a, c)
-    assert_allclose(z, y, atol=1e-10)
-
 
 def test_lstsq_wide_design(rng):
-    # 2 x 5 design of rank 2: residual must be orthogonal to the row space.
-    a = rng.normal(size=(2, 5))
-    b = rng.normal(size=(3, 5))
-    x = linalg.lstsq(a, b)
-    assert x.shape == (3, 2)
-    assert_allclose((x @ a - b) @ a.T, 0.0, atol=1e-10)
+    # Three 2 x 2 lags pool into the 2 x 4 design [m1 m2] of rank 2: the
+    # residual must be orthogonal to the design's rows.
+    covs = rng.normal(size=(3, 2, 2))
+    phi = phi_lstsq(covs)
+    design, target = np.hstack(covs[:-1]), np.hstack(covs[1:])
+    assert phi.shape == (2, 2)
+    assert_allclose((phi @ design - target) @ design.T, 0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)])
@@ -209,20 +206,10 @@ def test_singular_inputs_raise():
         linalg.solve(singular, np.eye(2))
     with pytest.raises(SingularMatrix):
         linalg.rsolve(np.eye(2), singular)
-    with pytest.raises(SingularMatrix):
-        linalg.lstsq(np.zeros((2, 3)), np.ones((2, 3)))
+    with pytest.raises(SingularMatrix, match="rank 0 < 2"):
+        phi_lstsq([np.zeros((2, 2)), np.ones((2, 2))])
     with pytest.raises(InvalidInput):
         linalg.solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2))
-
-
-def test_power_sequence():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    powers = linalg.power_sequence(m, 3)
-    assert len(powers) == 4
-    assert_allclose(powers[0], np.eye(2))
-    assert_allclose(powers[1], m)
-    assert_allclose(powers[2], 0.0)
-    assert_allclose(powers[3], 0.0)
 
 
 # Every array and count a public function takes from its caller goes through
