@@ -222,6 +222,8 @@ def standard_errors(report, x, bandwidth=None):
     mean = report.moments.mean
     if a.shape[1] != mean.shape[0]:
         raise InvalidInput(f"x has {a.shape[1]} columns, the report's sample {mean.shape[0]}")
-    if not np.array_equal(_rows(a)[1], mean):
+    rows, sample_mean = _rows(a)
+    if not np.array_equal(sample_mean, mean):
         raise InvalidInput("x is not the report's sample: its column means differ")
-    return xi(jacobian_matrix(js), hac_psi(a, bandwidth=bandwidth), a.shape[0])
+    # rows.T is in Fortran order, so hac_psi lays it out again without a copy.
+    return xi(jacobian_matrix(js), hac_psi(rows.T, bandwidth=bandwidth), a.shape[0])

@@ -178,8 +178,8 @@ def hac_psi(x, bandwidth=None):
             f"{bandwidth}, got {n}"
         )
     n_g, w = n - 2, bandwidth + 1
-    rows, mean = _rows(a)
-    zt = rows - mean[:, None]
+    rows, xbar = _rows(a)
+    zt = rows - xbar[:, None]
     # Row means of g; rows.T is in Fortran order, so its rows are no copy.
     mean = np.concatenate([_rows(rows.T, n_g)[1]] + [
         linalg.vec(_lag_product(zt, lag, n_g)) / n_g for lag in range(3)

@@ -9,6 +9,7 @@ from vechgarch import linalg
 from vechgarch.exceptions import InsufficientData, InvalidInput
 from vechgarch.moments import (
     _BOX_BLOCK,
+    _rows,
     _stacked_columns,
     default_bandwidth,
     hac_psi,
@@ -37,6 +38,20 @@ def test_single_column_moments_match_a_wider_sample(rng):
     for lone, pair in zip(one.covs, two.covs):
         assert lone.shape == (1, 1)
         assert_allclose(lone[0, 0], pair[0, 0], rtol=1e-13)
+
+
+def test_rows_copy_a_sample_only_when_it_is_not_fortran_order(ref_spec_d2):
+    # hac_psi reads its x-row means from rows.T, and standard_errors hands
+    # its checked rows.T to hac_psi, both on the promise that a
+    # Fortran-order sample is laid out as rows without a copy.
+    x = to_x(simulate(ref_spec_d2, 500, seed=3).y)
+    rows, mean = _rows(x)
+    assert rows.flags.c_contiguous and np.shares_memory(rows, x)
+    assert np.shares_memory(_rows(rows.T)[0], rows)
+    copied, copied_mean = _rows(np.ascontiguousarray(x))
+    assert not np.shares_memory(copied, x)
+    assert np.array_equal(copied, rows) and np.array_equal(copied_mean, mean)
+    assert_allclose(_rows(x, 100)[1], x[:100].mean(axis=0), rtol=1e-14)
 
 
 def test_sample_moments_needs_four_observations():
