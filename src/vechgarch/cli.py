@@ -221,6 +221,8 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
     if not values or any(v <= 0 for v in values):
         raise argparse.ArgumentTypeError("sample sizes must be positive integers")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"sample sizes must be distinct: {text!r}")
     return values
 
 

@@ -236,31 +236,23 @@ def diagnostics(spec):
     return diag
 
 
-_RANDOM_RHO_B = 0.9
-
-
 def random_spec(d, rng):
     """Draw a well-behaved random spec for round-trip testing.
 
-    ``B`` is diagonally dominant with spectral radius at most 0.9,
-    ``A`` has small nonnegative entries (at most ``0.1 / dbar``), and ``c``
+    ``B`` has diagonal entries in ``[0.3, 0.75)`` and off-diagonal entries of
+    modulus at most ``0.1 / dbar``, and ``A`` has nonnegative entries below
+    ``0.1 / dbar``.  By Gershgorin's theorem ``rho(B) < 0.85`` and
+    ``rho(A + B) < 0.95``, so every draw is stationary and invertible.  ``c``
     is chosen so the unconditional covariance is the identity.
     """
     k = linalg.vech_dim(d)
-    while True:
-        b = np.diag(rng.uniform(0.3, 0.75, size=k))
-        off = rng.uniform(-1.0, 1.0, size=(k, k)) * (0.1 / k)
-        off[np.diag_indices(k)] = 0.0
-        b = b + off
-        r = linalg.spectral_radius(b)
-        if r > _RANDOM_RHO_B:
-            b *= _RANDOM_RHO_B / r
-        a = rng.uniform(0.0, 0.1 / k, size=(k, k))
-        p = a + b
-        if linalg.spectral_radius(p) <= 0.97:
-            break
+    b = np.diag(rng.uniform(0.3, 0.75, size=k))
+    off = rng.uniform(-1.0, 1.0, size=(k, k)) * (0.1 / k)
+    off[np.diag_indices(k)] = 0.0
+    b = b + off
+    a = rng.uniform(0.0, 0.1 / k, size=(k, k))
     h = linalg.vech(np.eye(d))
-    c = (np.eye(k) - p) @ h
+    c = (np.eye(k) - (a + b)) @ h
     return GarchSpec(d=d, c=c, A=a, B=b)
 
 

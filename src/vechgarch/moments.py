@@ -65,9 +65,23 @@ def _rows(a, length=None):
     return rows, rows[:, :length].mean(axis=1)
 
 
+# Elements per dot product at dbar = 1, below the length (10 000) above which
+# OpenBLAS threads a ddot.
+_DOT_CHUNK = 8192
+
+
 def _lag_product(zt, lag, length):
     """``sum_{t < length} z_{t+lag} z_t'`` of the centred rows ``zt``."""
-    return zt[:, lag : lag + length] @ zt[:, :length].T
+    lead, lagged = zt[:, lag : lag + length], zt[:, :length]
+    if len(zt) > 1:
+        return lead @ lagged.T
+    # At dbar = 1 the product is one threaded OpenBLAS ddot over the whole
+    # row, and in some processes every such call takes about 8 ms instead of
+    # 0.01 ms (n = 1e5); dots over short chunks are never threaded.  cab66cd
+    # removed that call and f3a1c15 brought it back as faster, timed only in
+    # a fast process.  dbar >= 3 runs gemm, which showed no slow mode.
+    return np.array([[sum(np.dot(lead[0, i : i + _DOT_CHUNK], lagged[0, i : i + _DOT_CHUNK])
+                          for i in range(0, length, _DOT_CHUNK))]])
 
 
 def sample_moments(x, max_lag=2):

@@ -3,9 +3,9 @@
 The pipeline maps a :class:`~vechgarch.model.MomentSet` to parameter
 estimates:
 
-1. ``Phi`` from the lag identities ``m_{k+1} = Phi m_k``: ``m2 m1^{-1}``
-   at one lag, stacked least squares over ``m1 .. m_{K+1}`` when
-   ``lags = K > 1`` pools more of them,
+1. ``Phi`` from the lag identities ``m_{k+1} = Phi m_k``, ``k = 1 .. K``,
+   by stacked least squares over ``m1 .. m_{K+1}`` (``m2 m1^{-1}`` at
+   ``lags = K = 1``),
 2. innovation autocovariances ``gamma0 = m0 - m1 Phi' - Phi m1' +
    Phi m0 Phi'`` and ``gamma1 = m1 - Phi m0``,
 3. the moving-average matrix ``B = -gamma1 Sigma^{-1}``, the stable solvent
@@ -47,8 +47,6 @@ __all__ = [
     "phi_lstsq",
     "build_p",
     "solve_b",
-    "pme_residual",
-    "nme_residual",
     "recover_sigma",
     "estimate",
 ]
@@ -144,9 +142,9 @@ def _complex_list(values):
 
 
 def gammas(ms):
-    """Build the lag-1 :class:`GammaState` of a moment set: ``Phi`` solves
-    ``Phi m1 = m2`` exactly."""
-    return _gamma_state(ms, _estimate_phi(ms, 1))
+    """Build the lag-1 :class:`GammaState` of a moment set: ``Phi = m2 m1^{-1}``
+    by :func:`phi_lstsq`."""
+    return _gamma_state(ms, phi_lstsq(ms.covs[1:3]))
 
 
 def _gamma_state(ms, phi):
@@ -155,34 +153,28 @@ def _gamma_state(ms, phi):
     return GammaState(phi=phi, gamma0=g0, gamma1=g1)
 
 
-def _estimate_phi(ms, lags):
-    if lags > 1:
-        return phi_lstsq(ms.covs[1 : lags + 2])
-    try:
-        return linalg.rsolve(ms.m2, ms.m1, name="m1")
-    except SingularMatrix as exc:
-        raise SingularMatrix(
-            f"{exc}; pooling lags > 1 by stacked least squares handles singular "
-            "individual lags"
-        ) from exc
-
-
 def phi_lstsq(covs):
     """Least-squares ``Phi`` over stacked lag identities.
 
     ``covs`` is ``[m1, m2, ..., m_{K+1}]``; the result minimises
-    ``|| Phi [m1 ... mK] - [m2 ... m_{K+1}] ||_F``.
-    Reduces to the plain lag-1 solution when ``K = 1`` and ``m1`` is
-    invertible.  A design of rank below ``dbar`` raises ``SingularMatrix``.
+    ``|| Phi [m1 ... mK] - [m2 ... m_{K+1}] ||_F``, which is ``m2 m1^{-1}``
+    when ``K = 1``.  The design ``[m1 ... mK]`` has rank below ``dbar``, and
+    ``SingularMatrix`` is raised, when its smallest singular value is at
+    most ``linalg._RCOND`` times its largest: the bound :func:`linalg.solve`
+    and :func:`linalg.rsolve` apply to a square matrix.
     """
     c = linalg._as_array(covs, "covs", ndim=3)
     if len(c) < 2:
         raise InvalidInput("need at least two autocovariances (m1 and m2)")
     design = np.hstack(c[:-1])
-    phi_t, _, rank, _ = np.linalg.lstsq(design.T, np.hstack(c[1:]).T, rcond=None)
+    phi_t, _, rank, s = np.linalg.lstsq(design.T, np.hstack(c[1:]).T, rcond=linalg._RCOND)
     if rank < len(design):
-        raise SingularMatrix(f"least-squares design has rank {rank} < {len(design)}; "
-                             "minimiser is not unique")
+        raise SingularMatrix(
+            f"least-squares design of lag identities k = 1..{len(c) - 1} is singular (rank "
+            f"{rank} < {len(design)}, smallest/largest singular value ratio "
+            f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e}); pooling lags > {len(c) - 1} "
+            "by stacked least squares handles singular individual lags"
+        )
     return phi_t.T
 
 
@@ -208,20 +200,6 @@ def build_p(gs):
     p[k:, :k] = -lower[:, :k]
     p[k:, k:] = -lower[:, k:]
     return p
-
-
-def pme_residual(gs, b):
-    """Frobenius residual of the palindromic quadratic at ``b``."""
-    bt = linalg._as_array(b, "b", gs.gamma0.shape).T
-    res = gs.gamma1.T + gs.gamma0 @ bt + gs.gamma1 @ (bt @ bt)
-    return float(np.linalg.norm(res))
-
-
-def nme_residual(gs, sigma):
-    """Frobenius residual of ``gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'``."""
-    inv_term = linalg.solve(sigma, gs.gamma1.T, name="sigma")
-    res = gs.gamma0 - sigma - gs.gamma1 @ inv_term
-    return float(np.linalg.norm(res))
 
 
 # A solvent must keep rho(B) below 1 - _UNIMODULAR_BAND, which keeps the
@@ -297,11 +275,13 @@ def solve_b(gs):
     reciprocals = np.full(k, np.inf, dtype=complex)
     nonzero = values != 0
     reciprocals[nonzero] = 1.0 / values[nonzero]
+    bt = b.T
     return SolventResult(
         b=b,
         b_eigenvalues=values,
         p_eigenvalues=np.concatenate([values, reciprocals[::-1]]),
-        residual_pme=pme_residual(gs, b),
+        # Frobenius residual of the palindromic quadratic at b.
+        residual_pme=float(np.linalg.norm(gs.gamma1.T + gs.gamma0 @ bt + gs.gamma1 @ (bt @ bt))),
     )
 
 
@@ -328,7 +308,9 @@ def recover_sigma(b, gs):
             "message": "recovered Sigma is not positive definite",
         })
     try:
-        residual = nme_residual(gs, sigma)
+        # Frobenius residual of gamma0 = Sigma + gamma1 Sigma^{-1} gamma1'.
+        inv_term = linalg.solve(sigma, gs.gamma1.T, name="sigma")
+        residual = float(np.linalg.norm(gs.gamma0 - sigma - gs.gamma1 @ inv_term))
     except SingularMatrix:
         residual = float("inf")
         notes.append({
@@ -359,9 +341,9 @@ def estimate(data, lags=1):
         moments are ``sample_moments(data, lags + 1)``, or a precomputed
         :class:`~vechgarch.model.MomentSet` with ``max_lag >= lags + 1``.
     lags : int
-        Number ``K`` of lag identities ``m_{k+1} = Phi m_k`` behind ``Phi``:
-        ``1`` gives ``m2 m1^{-1}``, ``K > 1`` pools ``k = 1..K`` by stacked
-        least squares (:func:`phi_lstsq`).
+        Number ``K`` of lag identities ``m_{k+1} = Phi m_k``, ``k = 1..K``,
+        pooled into ``Phi`` by stacked least squares (:func:`phi_lstsq`);
+        ``1`` gives ``m2 m1^{-1}``.
 
     Returns
     -------
@@ -378,7 +360,7 @@ def estimate(data, lags=1):
         raise InvalidInput(f"lags={lags} needs a MomentSet with max_lag >= {lags + 1}, "
                            f"got max_lag {ms.max_lag}")
     linalg.mat_dim(ms.dbar)  # validates the vech width
-    phi_hat = _run_stage("gammas", _estimate_phi, ms, lags)
+    phi_hat = _run_stage("gammas", phi_lstsq, ms.covs[1 : lags + 2])
     report = _solve(_gamma_state(ms, phi_hat), ms.mean)
     return replace(report, moments=ms, lags=lags)
 

@@ -193,6 +193,21 @@ def test_estimate_constant_series_is_exit_3(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_estimate_warnings_go_to_stderr_and_the_fit_still_succeeds(tmp_path, capsys):
+    # Short, trending variances: the fitted Phi is explosive, so the report
+    # carries notes, but the fit itself succeeds.
+    data = tmp_path / "trend.csv"
+    data.write_text("y1\n" + "".join(f"{v}\n" for v in (1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7)))
+    assert run_cli("estimate", "--data", data) == 0
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [
+        "warning: nonstationary: rho(A + B) = 1.93106 >= 1",
+        "warning: h_undefined: unconditional variance undefined for nonstationary spec",
+    ]
+    codes = [w["code"] for w in json.loads(out.out)["diagnostics"]["warnings"]]
+    assert codes == ["nonstationary", "h_undefined"]
+
+
 def test_estimate_bad_header_is_exit_1(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("r1\n0.1\n-0.2\n0.3\n0.4\n")
@@ -228,6 +243,10 @@ def test_bad_json_is_exit_1(tmp_path, capsys):
     spec.write_text("{not json")
     assert run_cli("simulate", "--params", spec, "--out", tmp_path / "y.csv",
                    "--n", 10) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
+    assert run_cli("simulate", "--params", tmp_path / "absent.json", "--out",
+                   tmp_path / "y.csv", "--n", 10) == 1
+    assert "error: cannot read spec from " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", [
@@ -254,6 +273,21 @@ def test_negative_count_option_is_exit_1(command, option, tmp_path, spec_file, c
     sizes = ("--n", 10) if command == "simulate" else ("--reps", 2, "--n", 400)
     assert run_cli(command, "--params", spec_file, "--out", out, *sizes, option, -1) == 1
     assert "must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("400,abc", "not a comma-separated integer list: '400,abc'"),
+    ("0,400", "sample sizes must be positive integers"),
+    ("", "sample sizes must be positive integers"),
+    ("400,400", "sample sizes must be distinct: '400,400'"),
+], ids=["non_integer", "zero", "empty", "repeated"])
+def test_montecarlo_bad_sample_sizes_are_exit_1(sizes, message, tmp_path, spec_file, capsys):
+    # A repeated size would fit each of its replications twice.
+    out = tmp_path / "mc.csv"
+    assert run_cli("montecarlo", "--params", spec_file, "--reps", 2, "--n", sizes,
+                   "--out", out) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

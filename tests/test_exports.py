@@ -71,8 +71,8 @@ CHAIN = {
 }
 SUBMODULES = {"aggregation", "asymptotics", "cli", "exceptions", "linalg", "model", "moments", "solver"}
 HELPERS = {
-    "solver": ["gammas", "phi_lstsq", "solve_b", "recover_sigma", "pme_residual", "nme_residual",
-               "build_p", "GammaState", "SolventResult", "SigmaRecovery"],
+    "solver": ["gammas", "phi_lstsq", "solve_b", "recover_sigma", "build_p", "GammaState",
+               "SolventResult", "SigmaRecovery"],
     "asymptotics": ["jacobian_action", "param_names"],
     "aggregation": ["stock_gammas", "flow_gammas"],
     "linalg": ["dlyap"],

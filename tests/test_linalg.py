@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import vechgarch as vg
 from vechgarch import linalg
+from vechgarch.asymptotics import jacobian_action
 from vechgarch.exceptions import (
     InvalidInput,
     NotPositiveDefinite,
@@ -252,10 +253,21 @@ def _scalar_jacobian():
      "n must be an integer >= 1, got True"),
     (lambda: vg.xi(_scalar_jacobian(), vg.PsiEstimate(psi=np.eye(4), bandwidth=0), 2.5),
      "n must be an integer >= 1, got 2.5"),
+    (lambda: linalg.solve(np.ones((2, 3)), np.eye(2)),
+     r"matrix must be square, got shape \(2, 3\)"),
+    (lambda: linalg.solve(np.eye(2), np.ones(3)),
+     r"b of shape \(3,\) does not match matrix of shape \(2, 2\)"),
+    (lambda: vg.to_x(np.ones((2, 2, 2))), r"y must be an n x d matrix, got shape \(2, 2, 2\)"),
+    (lambda: vg.aggregate_params(SCALAR), "inp must be an AggregationInput"),
+    (lambda: vg.JacobianState.from_moments(SCALAR), "ms must be a MomentSet"),
+    (lambda: jacobian_action(vg.JacobianState(_scalar_fit()), np.ones(2), *np.zeros((3, 1, 1))),
+     r"dmean must have shape \(\.\.\., 1\), got \(2,\)"),
 ], ids=["vech", "unvech", "dlyap_b", "dlyap_q", "to_x", "complex_spec", "complex_scalar_list_spec",
         "complex_sigma", "gamma_state", "aggregate_data",
         "aggregate_data_nan", "aggregate_data_m_bool", "aggregation_input_m_bool",
-        "estimate_lags_bool", "standard_errors", "xi_n_bool", "xi_n_float"])
+        "estimate_lags_bool", "standard_errors", "xi_n_bool", "xi_n_float", "solve_not_square",
+        "solve_rhs_shape", "to_x_3d", "aggregate_params_type", "from_moments_type",
+        "jacobian_action_dmean"])
 def test_malformed_inputs_are_refused(call, message):
     with pytest.raises(InvalidInput, match=f"^{message}"):
         call()

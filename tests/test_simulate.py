@@ -295,6 +295,13 @@ def test_csv_rejects_foreign_header(tmp_path):
         read_returns_csv(path)
 
 
+def test_csv_rejects_rows_wider_than_header(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("y1\n0.1,0.2\n0.3,0.4\n")
+    with pytest.raises(InvalidInput, match="CSV rows have 2 columns but header names 1"):
+        read_returns_csv(path)
+
+
 def test_csv_rejects_header_only_file_without_warning(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("y1,y2\n")

@@ -21,9 +21,7 @@ from vechgarch.solver import (
     build_p,
     estimate,
     gammas,
-    nme_residual,
     phi_lstsq,
-    pme_residual,
     recover_sigma,
     solve_b,
 )
@@ -234,6 +232,16 @@ def test_recover_sigma_flags_indefinite():
     rec = recover_sigma(np.array([[0.5]]), gs)
     assert_allclose(rec.sigma, [[-2.0]])
     assert any(w["code"] == "sigma_not_pd" for w in rec.warnings)
+
+
+def test_recover_sigma_flags_singular():
+    # Sigma = gamma0 + gamma1 B' = 1 + 0.5 (-2) = 0 has no inverse, so the
+    # equation residual is unavailable.
+    gs = GammaState(phi=[[0.5]], gamma0=[[1.0]], gamma1=[[0.5]])
+    rec = recover_sigma(np.array([[-2.0]]), gs)
+    assert_allclose(rec.sigma, [[0.0]])
+    assert rec.nme_residual == float("inf")
+    assert [w["code"] for w in rec.warnings] == ["sigma_not_pd", "sigma_singular"]
 
 
 def test_refusals_match_the_companion_spectrum(ref_spec_d1, ref_spec_d2):
